@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cut"
 	"repro/internal/decomp"
+	"repro/internal/federation"
 	"repro/internal/gen"
 	"repro/internal/mapper"
 	"repro/internal/match"
@@ -442,8 +443,8 @@ func BenchmarkLookupCachedVsUncached(b *testing.B) {
 
 // BenchmarkTransportClassify compares the two /v2/classify transports end
 // to end through a real HTTP server: the JSON envelope versus the
-// length-framed binary format of docs/WIRE.md, same warm single-arity
-// service, same 16-function batch of NPN-disguised hits per request. Each
+// length-framed binary format of docs/WIRE.md, same warm one-arity
+// federation, same 16-function batch of NPN-disguised hits per request. Each
 // sub-benchmark reports the payload sizes as req-B and resp-B metrics, so
 // BENCH_lookup.json can record the bytes-on-wire delta next to the ns/op
 // delta. The binary rows measure the full stack — codec, negotiation,
@@ -456,9 +457,18 @@ func BenchmarkTransportClassify(b *testing.B) {
 		if len(fs) > batch {
 			fs = fs[:batch]
 		}
-		svc := service.New(store.New(n, store.Options{Config: store.ServingConfig()}),
-			service.Options{Workers: 2})
-		for _, r := range svc.Insert(fs) {
+		reg, err := federation.New(n, n, federation.Options{
+			Store:   store.Options{Config: store.ServingConfig()},
+			Service: service.Options{Workers: 2},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ins, err := reg.Insert(fs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range ins {
 			if r.Index < 0 {
 				b.Fatal("insert refused")
 			}
@@ -473,7 +483,7 @@ func BenchmarkTransportClassify(b *testing.B) {
 			queries[i] = tr.Apply(f)
 			hexes[i] = queries[i].Hex()
 		}
-		srv := httptest.NewServer(service.NewHandler(svc))
+		srv := httptest.NewServer(federation.NewHandler(reg))
 
 		jsonBody, err := json.Marshal(api.BatchRequest{Functions: hexes})
 		if err != nil {

@@ -58,13 +58,15 @@ type Doc struct {
 	Serve      ServeStats  `json:"serve"`
 }
 
-// BenchLine is one parsed `go test -bench` result line.
+// BenchLine is one parsed `go test -bench` result line. BytesPerOp and
+// AllocsPerOp are set exactly when the line carries the -benchmem
+// columns, so a zero-allocation result is recorded as 0, not dropped.
 type BenchLine struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name        string   `json:"name"`
+	Iterations  int64    `json:"iterations"`
+	NsPerOp     float64  `json:"ns_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
 }
 
 // ServeStats is the loadgen outcome: latency quantiles derived from the
@@ -168,10 +170,12 @@ func parseBench(f io.Reader) ([]BenchLine, error) {
 		}
 		l := BenchLine{Name: m[1], Iterations: iters, NsPerOp: ns}
 		if m[4] != "" {
-			l.BytesPerOp, _ = strconv.ParseFloat(m[4], 64)
+			v, _ := strconv.ParseFloat(m[4], 64)
+			l.BytesPerOp = &v
 		}
 		if m[5] != "" {
-			l.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+			v, _ := strconv.ParseInt(m[5], 10, 64)
+			l.AllocsPerOp = &v
 		}
 		out = append(out, l)
 	}

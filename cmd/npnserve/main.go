@@ -40,10 +40,11 @@
 //	GET  /healthz      liveness + federated range
 //	GET  /metrics      Prometheus text exposition (with -metrics, default)
 //
-// The /v1 endpoints (classify, insert, compact, stats) remain mounted as
-// deprecated byte-compatible shims; unmatched routes and methods answer
-// the /v2 JSON error envelope. -max-body bounds the AIGER upload and
-// NDJSON stream bodies in bytes.
+// Unmatched routes and methods answer the /v2 JSON error envelope. A
+// durable server also serves the replication feed its followers tail
+// (GET /v1/wal/...; the prefix names that internal protocol, not an API
+// version). -max-body bounds the AIGER upload and NDJSON stream bodies in
+// bytes.
 //
 // -arities accepts a single arity ("6") or an inclusive range ("4-10");
 // per-arity stores are constructed lazily on first use. -config selects
@@ -56,7 +57,7 @@
 // or kill -9 — recovers every fsynced class. -fsync-interval bounds the
 // crash-loss window (0 fsyncs every append), -segment-bytes sets the log
 // rotation threshold, and -compact-every runs background compaction
-// (0 leaves compaction to POST /v1/compact).
+// (0 leaves compaction to POST /v2/compact).
 //
 // With -follow the server is a replication follower instead: a read-only
 // replica that bootstraps from the primary's latest snapshot, tails its
@@ -68,12 +69,7 @@
 // /healthz answer 503 once the last successful sync is older than the
 // given duration (load-balancer draining), while classify keeps serving
 // the replicated classes — a follower outlives its primary for reads.
-// Followers are memory-only: -data, -load and -save are rejected.
-//
-// The pre-durability flags remain as deprecated aliases: -load preseeds
-// stores from per-arity n<arity>.tt snapshot files, -save writes them on
-// graceful shutdown. Prefer -data, which subsumes both and survives
-// crashes.
+// Followers are memory-only: -data is rejected.
 //
 // Observability (internal/obs, on by default): -metrics mounts GET
 // /metrics with counters, gauges and latency histograms from every layer
@@ -130,8 +126,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"regexp"
 	"strconv"
 	"strings"
 	"syscall"
@@ -146,7 +140,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tt"
-	"repro/internal/ttio"
 	"repro/internal/wal"
 )
 
@@ -163,8 +156,6 @@ type config struct {
 	fsyncInterval time.Duration
 	segmentBytes  int64
 	compactEvery  time.Duration
-	loadPath      string
-	savePath      string
 
 	// Follower mode.
 	follow         string
@@ -202,8 +193,6 @@ func main() {
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "WAL group-fsync interval; 0 fsyncs every append (with -data)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold in bytes (with -data)")
 	flag.DurationVar(&cfg.compactEvery, "compact-every", 0, "background WAL compaction period; 0 disables (with -data)")
-	flag.StringVar(&cfg.loadPath, "load", "", "deprecated (use -data): preseed stores from per-arity n<arity>.tt snapshots in this directory")
-	flag.StringVar(&cfg.savePath, "save", "", "deprecated (use -data): write per-arity snapshots to this directory on graceful shutdown")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replication follower of this primary base URL")
 	flag.StringVar(&cfg.followMode, "follow-mode", "proxy", "follower miss/insert handling: \"proxy\" (forward to primary) or \"local\" (serve misses, refuse inserts)")
 	flag.DurationVar(&cfg.followInterval, "follow-interval", replica.DefaultInterval, "follower WAL tail poll period (with -follow)")
@@ -223,12 +212,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "npnserve: ", log.LstdFlags)
-	if cfg.loadPath != "" {
-		logger.Print("-load is deprecated: prefer -data, which also survives crashes")
-	}
-	if cfg.savePath != "" {
-		logger.Print("-save is deprecated: prefer -data, which also survives crashes")
-	}
 
 	var (
 		reg      *federation.Registry
@@ -258,13 +241,6 @@ func main() {
 		handler = replica.NewHandlerOpts(follower, hopts)
 	} else {
 		handler = federation.NewHandlerOpts(reg, hopts)
-		if cfg.loadPath != "" {
-			loaded, err := loadSnapshots(reg, cfg.loadPath)
-			if err != nil {
-				logger.Fatalf("load: %v", err)
-			}
-			logger.Printf("preseeded %d classes from %s (arities %v)", loaded, cfg.loadPath, reg.Active())
-		}
 	}
 
 	srv := &http.Server{
@@ -340,14 +316,6 @@ func main() {
 		} else {
 			logger.Print("wal flushed and closed")
 		}
-	}
-
-	if cfg.savePath != "" {
-		saved, err := saveSnapshots(reg, cfg.savePath)
-		if err != nil {
-			logger.Fatalf("save: %v", err)
-		}
-		logger.Printf("saved %d classes to %s (arities %v)", saved, cfg.savePath, reg.Active())
 	}
 }
 
@@ -542,11 +510,10 @@ func buildRegistry(cfg config) (*federation.Registry, error) {
 // buildFollower wires the replication-follower stack from the flag
 // configuration: a memory-only registry of read-only stores plus the
 // tail loop against the -follow primary. Followers hold no WAL of their
-// own (they re-sync from the primary on restart), so the durability and
-// snapshot flags are rejected.
+// own (they re-sync from the primary on restart), so -data is rejected.
 func buildFollower(cfg config, logger *log.Logger) (*replica.Follower, error) {
-	if cfg.dataDir != "" || cfg.loadPath != "" || cfg.savePath != "" {
-		return nil, errors.New("-follow runs a memory-only replica: remove -data/-load/-save")
+	if cfg.dataDir != "" {
+		return nil, errors.New("-follow runs a memory-only replica: remove -data")
 	}
 	lo, hi, err := parseArities(cfg.arities)
 	if err != nil {
@@ -579,100 +546,3 @@ func buildFollower(cfg config, logger *log.Logger) (*replica.Follower, error) {
 		Logf:       logf,
 	}), nil
 }
-
-// snapshotFile names arity n's snapshot within a -load/-save directory.
-func snapshotFile(dir string, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("n%d.tt", n))
-}
-
-// loadSnapshots preseeds every arity whose snapshot file exists in dir,
-// returning the number of classes created. The directory itself must
-// exist — a mistyped -load path fails the start instead of silently
-// serving an empty store. Functions are added straight to each arity's
-// store, not through the service pipeline, so the serving counters still
-// read zero after a restart.
-func loadSnapshots(reg *federation.Registry, dir string) (int, error) {
-	if _, err := os.Stat(dir); err != nil {
-		return 0, err
-	}
-	total := 0
-	for n := reg.MinVars(); n <= reg.MaxVars(); n++ {
-		path := snapshotFile(dir, n)
-		f, err := os.Open(path)
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return total, err
-		}
-		fs, err := ttio.Read(f, n)
-		f.Close()
-		if err != nil {
-			return total, fmt.Errorf("%s: %w", path, err)
-		}
-		svc, err := reg.Service(n)
-		if err != nil {
-			return total, err
-		}
-		for _, fn := range fs {
-			if _, _, isNew := svc.Store().Add(fn); isNew {
-				total++
-			}
-		}
-	}
-	return total, nil
-}
-
-// saveSnapshots writes one snapshot per non-empty arity into dir (created
-// if missing), returning the number of classes saved. Every other
-// n<arity>.tt file in the directory — empty arities of this run, and
-// arities left over from a run with a different -arities range — is
-// removed, so reusing a directory across runs cannot resurrect a previous
-// run's classes on the next -load.
-func saveSnapshots(reg *federation.Registry, dir string) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	saved := make(map[string]bool)
-	total := 0
-	for _, n := range reg.Active() {
-		svc, err := reg.Service(n)
-		if err != nil {
-			return total, err
-		}
-		if svc.Store().Size() == 0 {
-			continue
-		}
-		path := snapshotFile(dir, n)
-		f, err := os.Create(path)
-		if err != nil {
-			return total, err
-		}
-		if err := svc.Store().Save(f); err != nil {
-			f.Close()
-			return total, err
-		}
-		if err := f.Close(); err != nil {
-			return total, err
-		}
-		saved[filepath.Base(path)] = true
-		total += svc.Store().Size()
-	}
-	stale, err := filepath.Glob(filepath.Join(dir, "n*.tt"))
-	if err != nil {
-		return total, err
-	}
-	for _, path := range stale {
-		base := filepath.Base(path)
-		if saved[base] || !snapshotName.MatchString(base) {
-			continue
-		}
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// snapshotName matches the per-arity snapshot files saveSnapshots owns.
-var snapshotName = regexp.MustCompile(`^n[0-9]+\.tt$`)

@@ -7,8 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -34,11 +33,6 @@ func startServer(t *testing.T, cfg config) (*client.Client, *federation.Registry
 	reg, err := buildRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.loadPath != "" {
-		if _, err := loadSnapshots(reg, cfg.loadPath); err != nil {
-			t.Fatal(err)
-		}
 	}
 	hopts, err := cfg.handlerOptions(reg)
 	if err != nil {
@@ -181,50 +175,6 @@ func TestPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestV1ShimStillServes drives the same flow through the deprecated /v1
-// surface (via the client's raw escape hatch) and checks it agrees with
-// /v2 semantically.
-func TestV1ShimStillServes(t *testing.T) {
-	ctx := context.Background()
-	c, _ := startServer(t, config{arities: "4-6", shards: 4, cache: 16})
-
-	body := []byte(`{"functions":["cafef00dcafef00d","1ee1"]}`)
-	status, raw, err := c.Post(ctx, "/v1/insert", "application/json", body)
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("v1 insert: %d %v (%s)", status, err, raw)
-	}
-	var v1 struct {
-		Results []struct {
-			Function string `json:"function"`
-			Class    string `json:"class"`
-			Index    int    `json:"index"`
-			New      bool   `json:"new"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &v1); err != nil {
-		t.Fatal(err)
-	}
-	cls, err := c.Classify(ctx, []string{"cafef00dcafef00d", "1ee1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range cls.Results {
-		if !r.Hit || r.Class != v1.Results[i].Class || *r.Index != v1.Results[i].Index {
-			t.Fatalf("v1/v2 disagree on item %d: v1=(%s,%d) v2=%+v", i, v1.Results[i].Class, v1.Results[i].Index, r)
-		}
-	}
-
-	// The v1 whole-batch contract is preserved: one bad function fails
-	// the request with a 400 and the flat {"error": "..."} body.
-	status, raw, err = c.Post(ctx, "/v1/classify", "application/json", []byte(`{"functions":["cafef00dcafef00d","zz"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != http.StatusBadRequest || !strings.Contains(string(raw), `"error":"functions[1]`) {
-		t.Fatalf("v1 whole-batch error: %d %s", status, raw)
-	}
-}
-
 // TestJSONFallbacks: unmatched routes and wrong methods answer the /v2
 // JSON error envelope (with Allow on 405) on every stack.
 func TestJSONFallbacks(t *testing.T) {
@@ -263,10 +213,15 @@ func TestJSONFallbacks(t *testing.T) {
 
 // TestSpecCoversRoutes: GET /v2/spec lists every mounted route — proved
 // by asking for each one and never hitting the not_found fallback — and
-// the headline endpoints are all present.
+// the headline endpoints are all present. The primary and the follower
+// mount one API: the primary's spec is the follower's plus the three
+// replication-feed routes, no other /v1 route is listed, and the removed
+// /v1 classify, insert, compact and stats routes answer not_found on
+// both stacks.
 func TestSpecCoversRoutes(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startServer(t, config{arities: "4-6", shards: 4, cache: 16})
+	cfg := config{arities: "4-6", shards: 4, cache: 16, metrics: true}
+	c, _ := startServer(t, cfg)
 
 	spec, err := c.Spec(ctx)
 	if err != nil {
@@ -279,12 +234,9 @@ func TestSpecCoversRoutes(t *testing.T) {
 		"POST /v2/classify", "POST /v2/insert",
 		"POST /v2/classify/stream", "POST /v2/insert/stream",
 		"POST /v2/map", "POST /v2/compact", "GET /v2/stats", "GET /v2/spec",
-		"GET /healthz", "POST /v1/classify", "POST /v1/insert",
+		"GET /healthz", "GET /metrics",
 	}
-	mounted := make(map[string]bool)
-	for _, rt := range spec.Routes {
-		mounted[rt.Method+" "+rt.Pattern] = true
-	}
+	mounted := routeSet(spec)
 	for _, w := range want {
 		if !mounted[w] {
 			t.Fatalf("spec is missing %q (routes: %v)", w, spec.Routes)
@@ -315,6 +267,75 @@ func TestSpecCoversRoutes(t *testing.T) {
 			t.Fatalf("%s %s answered %d: spec lists a route the mux does not serve", rt.Method, path, status)
 		}
 	}
+
+	fcfg := cfg
+	fcfg.follow, fcfg.followMode = c.Base(), "local"
+	fol, err := buildFollower(fcfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fopts, err := fcfg.handlerOptions(fol.Registry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(replica.NewHandlerOpts(fol, fopts))
+	t.Cleanup(fsrv.Close)
+	fc := client.New(fsrv.URL)
+	fspec, err := fc.Spec(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fspec.Role != "follower" {
+		t.Fatalf("follower spec role %q", fspec.Role)
+	}
+	feed := map[string]bool{
+		"GET /v1/wal/segments": true, "GET /v1/wal/snapshot/{arity}": true, "GET /v1/wal/segment/{arity}/{seq}": true,
+	}
+	followerPlusFeed := routeSet(fspec)
+	for r := range feed {
+		if followerPlusFeed[r] {
+			t.Fatalf("follower serves the replication feed route %q", r)
+		}
+		followerPlusFeed[r] = true
+	}
+	if !reflect.DeepEqual(mounted, followerPlusFeed) {
+		t.Fatalf("primary routes %v, want the follower's plus the replication feed: %v", mounted, followerPlusFeed)
+	}
+	for r := range mounted {
+		if strings.Contains(r, " /v1/") && !feed[r] {
+			t.Fatalf("spec lists %q: /v1 is only the replication feed", r)
+		}
+	}
+
+	for name, cl := range map[string]*client.Client{"primary": c, "follower": fc} {
+		for _, op := range []string{"classify", "insert", "compact", "stats"} {
+			path := "/v1/" + op
+			var status int
+			var raw []byte
+			var err error
+			if op == "stats" {
+				status, raw, err = cl.Get(ctx, path)
+			} else {
+				status, raw, err = cl.Post(ctx, path, "application/json", []byte(`{"functions":["1ee1"]}`))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env api.ErrorEnvelope
+			if status != http.StatusNotFound || json.Unmarshal(raw, &env) != nil || env.Error == nil || env.Error.Code != api.CodeNotFound {
+				t.Fatalf("%s: %s answered %d %s, want 404 not_found", name, path, status, raw)
+			}
+		}
+	}
+}
+
+// routeSet renders a spec's routes as "METHOD pattern" keys.
+func routeSet(s *api.Spec) map[string]bool {
+	out := make(map[string]bool, len(s.Routes))
+	for _, rt := range s.Routes {
+		out[rt.Method+" "+rt.Pattern] = true
+	}
+	return out
 }
 
 // TestMapEndpoint uploads a real circuit through the client and checks
@@ -416,112 +437,11 @@ func TestBuildRegistryValidation(t *testing.T) {
 	}
 }
 
-// TestLoadMissingDirFails rejects a mistyped -load directory instead of
-// silently serving an empty store.
-func TestLoadMissingDirFails(t *testing.T) {
-	reg, err := buildRegistry(config{arities: "4-6"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadSnapshots(reg, "/does/not/exist"); err == nil {
-		t.Fatal("nonexistent -load directory accepted")
-	}
-}
-
-// TestSavePurgesStaleSnapshots checks that saveSnapshots removes
-// n<arity>.tt files it did not write this run — both empty arities of
-// the current range and leftovers of a wider previous range — so a
-// reused directory cannot resurrect old classes, while foreign files
-// are left alone.
-func TestSavePurgesStaleSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"n5.tt", "n9.tt", "notes.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("# stale\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg, err := buildRegistry(config{arities: "4-6"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Insert([]*tt.TT{tt.MustFromHex(4, "1ee1")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := saveSnapshots(reg, dir); err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range map[string]bool{"n4.tt": true, "n5.tt": false, "n9.tt": false, "notes.txt": true} {
-		_, err := os.Stat(filepath.Join(dir, name))
-		if got := err == nil; got != want {
-			t.Errorf("%s exists=%v after save, want %v", name, got, want)
-		}
-	}
-}
-
-// TestLoadSaveRoundTrip preseeds a federated server from the per-arity
-// snapshot directory written by a previous instance — the persistence
-// path of the -load/-save flags.
-func TestLoadSaveRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	reg, err := buildRegistry(config{arities: "4-6", shards: 4, cache: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(701))
-	var fs []*tt.TT
-	for n := 4; n <= 6; n++ {
-		for k := 0; k < 5; k++ {
-			fs = append(fs, tt.Random(n, rng))
-		}
-	}
-	if _, err := reg.Insert(fs); err != nil {
-		t.Fatal(err)
-	}
-	saved, err := saveSnapshots(reg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range reg.Active() {
-		svc, _ := reg.Service(n)
-		total += svc.Store().Size()
-		if _, err := os.Stat(snapshotFile(dir, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if saved != total {
-		t.Fatalf("saved %d classes, stores hold %d", saved, total)
-	}
-
-	c, reg2 := startServer(t, config{arities: "4-6", shards: 4, cache: 16, loadPath: dir})
-	total2 := 0
-	for _, n := range reg2.Active() {
-		svc, _ := reg2.Service(n)
-		total2 += svc.Store().Size()
-	}
-	if total2 != total {
-		t.Fatalf("preloaded %d classes, want %d", total2, total)
-	}
-	cls, err := c.Classify(ctx, []string{fs[0].Hex(), fs[len(fs)-1].Hex()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range cls.Results {
-		if !r.Hit {
-			t.Fatalf("preloaded class %d missed after snapshot round trip", i)
-		}
-	}
-}
-
 // TestFollowerFlagValidation: follower mode is memory-only and validates
 // its own flags.
 func TestFollowerFlagValidation(t *testing.T) {
 	if _, err := buildFollower(config{arities: "4-6", follow: "http://x", dataDir: "/tmp/x"}, nil); err == nil {
 		t.Fatal("-follow with -data accepted")
-	}
-	if _, err := buildFollower(config{arities: "4-6", follow: "http://x", savePath: "/tmp/x"}, nil); err == nil {
-		t.Fatal("-follow with -save accepted")
 	}
 	if _, err := buildFollower(config{arities: "4-6", follow: "http://x", followMode: "mirror"}, nil); err == nil {
 		t.Fatal("bogus -follow-mode accepted")

@@ -37,6 +37,13 @@ func (b *fakeBackend) Resolve(s string) (*tt.TT, *Error) {
 	return f, nil
 }
 
+func (b *fakeBackend) CheckArity(n int) *Error {
+	if n != 4 {
+		return Errf(CodeArityOutOfRange, "arity %d; want 4", n)
+	}
+	return nil
+}
+
 func (b *fakeBackend) Classify(_ context.Context, fs []*tt.TT) ([]Result, *Error) {
 	b.classifyCalls++
 	if b.failOnCall > 0 && b.classifyCalls == b.failOnCall {
@@ -83,7 +90,7 @@ func decodeEnvelope(t *testing.T, body []byte) *Error {
 // TestRouterFallbacks: unmatched paths answer the JSON not_found
 // envelope, wrong methods answer method_not_allowed with Allow.
 func TestRouterFallbacks(t *testing.T) {
-	rt := NewRouter("single")
+	rt := NewRouter("federated")
 	rt.Handle("GET", "/x", "", func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]int{"ok": 1})
 	})
@@ -105,23 +112,18 @@ func TestRouterFallbacks(t *testing.T) {
 	}
 }
 
-// TestRouterSpec reflects registrations, including deprecation marks.
+// TestRouterSpec reflects registrations.
 func TestRouterSpec(t *testing.T) {
 	rt := NewRouter("federated")
 	rt.Handle("POST", "/v2/classify", "lookup", func(w http.ResponseWriter, r *http.Request) {})
-	rt.HandleDeprecated("POST", "/v1/classify", "shim", func(w http.ResponseWriter, r *http.Request) {})
 	rt.MountSpec()
 
 	s := rt.Spec()
-	if s.Role != "federated" || s.APIVersion != Version || len(s.Routes) != 3 {
+	if s.Role != "federated" || s.APIVersion != Version || len(s.Routes) != 2 {
 		t.Fatalf("spec %+v", s)
 	}
-	byPattern := map[string]Route{}
-	for _, r := range s.Routes {
-		byPattern[r.Pattern] = r
-	}
-	if byPattern["/v1/classify"].Deprecated != true || byPattern["/v2/classify"].Deprecated {
-		t.Fatalf("deprecation marks wrong: %+v", s.Routes)
+	if r := s.Routes[0]; r.Method != "POST" || r.Pattern != "/v2/classify" || r.Desc != "lookup" {
+		t.Fatalf("route %+v", r)
 	}
 	if len(s.ErrorCodes) != len(Codes()) {
 		t.Fatalf("error codes %v", s.ErrorCodes)

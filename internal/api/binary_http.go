@@ -74,7 +74,7 @@ func decodeNegotiated(b Backend, maxBody int64, w http.ResponseWriter, r *http.R
 		fs = decoded
 		errs = make([]*Error, len(fs))
 		for i, f := range fs {
-			if e := checkArity(b, f); e != nil {
+			if e := b.CheckArity(f.NumVars()); e != nil {
 				errs[i], fs[i] = e, nil
 			}
 		}

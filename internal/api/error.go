@@ -3,15 +3,15 @@
 // the Router that mounts every endpoint (with a JSON 404/405 fallback and
 // a self-describing GET /v2/spec), the shared /v2 batch handlers with
 // per-item errors, their NDJSON streaming variants, and the /v2/map
-// circuit-mapping endpoint. The three handler stacks — internal/service
-// (single arity), internal/federation (mixed arity) and internal/replica
-// (follower) — all mount their routes through this package, so the wire
-// format cannot diverge between them, and pkg/client is its consumer on
-// the client side.
+// circuit-mapping endpoint. Both handler stacks — internal/federation
+// (the primary, any arity range) and internal/replica (the follower) —
+// mount their routes through this package, so the wire format cannot
+// diverge between them, and pkg/client is its consumer on the client
+// side.
 //
-// Versioning: /v2 is the current surface. /v1 remains mounted by every
-// stack as a byte-compatible shim for valid requests; its whole-batch
-// error behavior is frozen, and new endpoints land on /v2 only.
+// Versioning: /v2 is the only API version. The replication feed a
+// primary serves under /v1/wal/ is an internal protocol, not a version
+// of this contract.
 package api
 
 import (

@@ -17,8 +17,6 @@ type Route struct {
 	Method  string `json:"method"`
 	Pattern string `json:"pattern"`
 	Desc    string `json:"desc,omitempty"`
-	// Deprecated marks compatibility shims (the /v1 surface).
-	Deprecated bool `json:"deprecated,omitempty"`
 }
 
 // Spec is the body of GET /v2/spec: the server's self-description — its
@@ -67,7 +65,7 @@ type Middleware func(route string, next http.HandlerFunc) http.HandlerFunc
 const UnmatchedRoute = "unmatched"
 
 // NewRouter returns an empty router for a stack with the given role
-// ("single", "federated", "follower").
+// ("federated", "follower").
 func NewRouter(role string) *Router {
 	rt := &Router{
 		role:    role,
@@ -101,16 +99,6 @@ func (rt *Router) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 // hold {wildcards}) and records it in the spec. Registering two handlers
 // for the same method and pattern panics, like ServeMux.
 func (rt *Router) Handle(method, pattern, desc string, h http.HandlerFunc) {
-	rt.handle(method, pattern, desc, false, h)
-}
-
-// HandleDeprecated mounts a compatibility shim: served identically,
-// marked deprecated in the spec.
-func (rt *Router) HandleDeprecated(method, pattern, desc string, h http.HandlerFunc) {
-	rt.handle(method, pattern, desc, true, h)
-}
-
-func (rt *Router) handle(method, pattern, desc string, deprecated bool, h http.HandlerFunc) {
 	byMethod, ok := rt.methods[pattern]
 	if !ok {
 		byMethod = make(map[string]http.HandlerFunc)
@@ -128,7 +116,7 @@ func (rt *Router) handle(method, pattern, desc string, deprecated bool, h http.H
 		panic("api: duplicate route " + method + " " + pattern)
 	}
 	byMethod[method] = h
-	rt.routes = append(rt.routes, Route{Method: method, Pattern: pattern, Desc: desc, Deprecated: deprecated})
+	rt.routes = append(rt.routes, Route{Method: method, Pattern: pattern, Desc: desc})
 }
 
 // dispatch picks the method's handler, or answers method_not_allowed with

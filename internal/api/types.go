@@ -22,9 +22,7 @@ type BatchRequest struct {
 }
 
 // Witness is the wire form of an npn.Transform: a certificate τ with
-// τ(rep) = function that a client can replay locally. The field names are
-// shared with the /v1 surface, so a witness decoded from either version
-// replays identically.
+// τ(rep) = function that a client can replay locally.
 type Witness struct {
 	// Perm maps result input i to representative input Perm[i].
 	Perm []int `json:"perm"`
@@ -137,9 +135,9 @@ type InsertOutcome struct {
 }
 
 // Backend is what a serving stack plugs into the shared /v2 batch and
-// streaming handlers: hex resolution (which owns arity selection and
-// error coding), and the batch pipeline operations. The context is the
-// request's — a forwarding follower threads it into its primary calls.
+// streaming handlers: arity selection with its error coding, and the
+// batch pipeline operations. The context is the request's — a forwarding
+// follower threads it into its primary calls.
 //
 // Classify and Insert return one entry per input, in order, or a
 // whole-batch *Error for conditions that fail every item identically
@@ -151,28 +149,13 @@ type Backend interface {
 	// store ready, so Classify/Insert on resolved functions cannot fail
 	// per item.
 	Resolve(hex string) (*tt.TT, *Error)
+	// CheckArity is Resolve for transports that carry each function's
+	// arity explicitly (the binary frame) instead of encoding it in the
+	// hex length: it reports whether n-variable functions are served,
+	// with the same readiness contract.
+	CheckArity(n int) *Error
 	Classify(ctx context.Context, fs []*tt.TT) ([]Result, *Error)
 	Insert(ctx context.Context, fs []*tt.TT) ([]InsertOutcome, *Error)
-}
-
-// ArityBackend is an optional Backend extension for transports that carry
-// each function's arity explicitly (the binary frame) instead of encoding
-// it in the hex length. CheckArity reports whether n-variable functions
-// are served, with the same readiness contract as Resolve: a nil *Error
-// means Classify/Insert on n-variable functions cannot fail per item.
-// Backends without it still serve binary requests — the handler falls back
-// to Resolve on the hex form, paying one encode per function.
-type ArityBackend interface {
-	CheckArity(n int) *Error
-}
-
-// checkArity validates one binary-decoded function against the backend.
-func checkArity(b Backend, f *tt.TT) *Error {
-	if ab, ok := b.(ArityBackend); ok {
-		return ab.CheckArity(f.NumVars())
-	}
-	_, e := b.Resolve(f.Hex())
-	return e
 }
 
 // KeyHex renders a class key in its canonical 16-digit wire form.
@@ -215,4 +198,12 @@ func HexDigits(n int) int {
 		d = 1
 	}
 	return d
+}
+
+// MaxBodyBytes bounds the JSON batch request body for a stack whose
+// largest accepted arity is n: a full MaxBatch of that arity's tables
+// with JSON quoting and separators, plus envelope slack. Anything larger
+// cannot be a valid request.
+func MaxBodyBytes(n int) int64 {
+	return int64(MaxBatch)*int64(HexDigits(n)+20) + (1 << 16)
 }

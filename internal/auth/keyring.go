@@ -7,9 +7,8 @@
 // queueing collapse for everyone.
 //
 // The Guard in guard.go packages the three checks as one middleware in
-// the api.Middleware shape, so every serving stack (federated primary,
-// replication follower, embedded single-arity service) mounts it with a
-// single rt.Use. /healthz and /metrics are exempt by default: probes and
+// the api.Middleware shape, so both serving stacks (federated primary,
+// replication follower) mount it with a single rt.Use. /healthz and /metrics are exempt by default: probes and
 // scrapes must survive exactly the overload the guard exists to manage.
 package auth
 

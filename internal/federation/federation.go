@@ -17,7 +17,7 @@
 // <Data>/n<arity>/, its store is rebuilt from that directory on first use
 // (store.Recover) and journals every certified new-class insert from then
 // on. CompactAll folds every arity's sealed segments into its snapshot —
-// on demand (the POST /v1/compact admin endpoint) or periodically
+// on demand (the POST /v2/compact admin endpoint) or periodically
 // (StartAutoCompact) — and the per-arity stats gain the log's shape:
 // segments, bytes, fsync lag.
 package federation

@@ -13,9 +13,10 @@ import (
 )
 
 // NewHandler returns the federated HTTP/JSON API over reg with the
-// default body bound for uploads and streams; see NewHandlerWith.
+// default body bound for uploads and streams and no observability
+// surface; see NewHandlerOpts.
 func NewHandler(reg *Registry) http.Handler {
-	return NewHandlerWith(reg, api.DefaultMaxBody)
+	return NewHandlerOpts(reg, HandlerOptions{})
 }
 
 // HandlerOptions configures the observability surface of a federated (or,
@@ -45,18 +46,22 @@ type HandlerOptions struct {
 	Trace *obs.Tracer
 }
 
-func (o HandlerOptions) maxBody() int64 {
+// BodyLimit is the effective bound on AIGER upload and NDJSON stream
+// bodies: MaxBody, or api.DefaultMaxBody when unset.
+func (o HandlerOptions) BodyLimit() int64 {
 	if o.MaxBody <= 0 {
 		return api.DefaultMaxBody
 	}
 	return o.MaxBody
 }
 
-// mount wires o's observability and admission control onto a router:
+// Mount wires o's observability and admission control onto a router:
 // middleware first (obs outermost so even guarded-away requests are
-// traced, the guard inside it), then the /metrics route and the registry
-// collectors.
-func (o HandlerOptions) mount(rt *api.Router, reg *Registry) {
+// traced, the guard inside it), then the /metrics route with reg's
+// collectors and the flight-recorder routes. Both the federated and the
+// follower handler mount through it, so they expose the identical
+// metric, trace and admission surface.
+func (o HandlerOptions) Mount(rt *api.Router, reg *Registry) {
 	if o.HTTP != nil {
 		rt.Use(o.HTTP.Wrap)
 	}
@@ -77,12 +82,11 @@ func (o HandlerOptions) mount(rt *api.Router, reg *Registry) {
 	}
 }
 
-// NewHandlerWith returns the federated versioned API over reg, mounted
+// NewHandlerOpts returns the federated versioned API over reg, mounted
 // on the shared api.Router (JSON 404/405 fallback, GET /v2/spec
-// self-description). The wire format is the single-arity service API
-// with one relaxation: a batch may mix arities, and each function's
-// arity is inferred from its hex length (2^n/4 digits, unique per arity
-// for n ≥ 2).
+// self-description). A batch may mix arities: each function's arity is
+// inferred from its hex length (2^n/4 digits, unique per arity for
+// n ≥ 2). A registry with a single arity is the single-arity server.
 //
 //	POST /v2/classify         mixed-arity batch lookup, per-item errors
 //	POST /v2/insert           mixed-arity batch insert, per-item errors
@@ -97,89 +101,28 @@ func (o HandlerOptions) mount(rt *api.Router, reg *Registry) {
 //	GET  /v2/spec             routes + error codes
 //	GET  /healthz             liveness + federated range
 //
-// plus the deprecated /v1 shims (classify, insert, compact, stats),
-// byte-compatible for valid requests, and the replication endpoints a
-// durable registry serves to followers (all three answer 409 on a
-// non-durable registry):
+// plus the replication feed a durable registry serves to followers (all
+// three answer 409 on a non-durable registry). Its /v1 prefix names the
+// primary↔follower protocol, not an API version:
 //
 //	GET /v1/wal/segments             per-arity segment manifest
 //	GET /v1/wal/snapshot/{arity}     the arity's base snapshot file
 //	GET /v1/wal/segment/{arity}/{seq}?offset=N
 //	                                 raw segment bytes from offset
 //
-// maxBody bounds the AIGER upload and NDJSON stream bodies (npnserve's
+// o.MaxBody bounds the AIGER upload and NDJSON stream bodies (npnserve's
 // -max-body flag); the JSON batch endpoints keep their arity-derived
-// bound.
-func NewHandlerWith(reg *Registry, maxBody int64) http.Handler {
-	return NewHandlerOpts(reg, HandlerOptions{MaxBody: maxBody})
-}
-
-// NewHandlerOpts is NewHandlerWith plus the observability surface: with
-// HandlerOptions.Metrics set the stack additionally serves GET /metrics
-// (listed in /v2/spec like every route), and with HandlerOptions.HTTP set
-// every route — the /v1 shims, the 404 fallback and /metrics itself
-// included — is traced and measured by the obs middleware.
+// bound. With o.Metrics set the stack additionally serves GET /metrics
+// (listed in /v2/spec like every route), and with o.HTTP set every
+// route — the 404 fallback and /metrics itself included — is traced and
+// measured by the obs middleware.
 func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
-	maxBody := o.maxBody()
+	maxBody := o.BodyLimit()
 	rt := api.NewRouter("federated")
-	o.mount(rt, reg)
-	b := fedBackend{reg}
-	jsonBody := service.MaxBodyBytes(reg.MaxVars())
+	o.Mount(rt, reg)
+	b := NewBackend(reg)
+	jsonBody := api.MaxBodyBytes(reg.MaxVars())
 
-	rt.HandleDeprecated("POST", "/v1/classify", "mixed-arity batch lookup (use /v2/classify)",
-		func(w http.ResponseWriter, r *http.Request) {
-			if !api.CheckContentType(w, r, "application/json") {
-				return
-			}
-			fs, raw, ok := decodeMixedBatch(w, r, reg)
-			if !ok {
-				return
-			}
-			results, err := reg.ClassifyCtx(r.Context(), fs)
-			if err != nil {
-				service.WriteError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			service.WriteJSON(w, http.StatusOK, service.EncodeClassifyResults(raw, results))
-		})
-	rt.HandleDeprecated("POST", "/v1/insert", "mixed-arity batch insert (use /v2/insert)",
-		func(w http.ResponseWriter, r *http.Request) {
-			if !api.CheckContentType(w, r, "application/json") {
-				return
-			}
-			fs, raw, ok := decodeMixedBatch(w, r, reg)
-			if !ok {
-				return
-			}
-			results, err := reg.InsertCtx(r.Context(), fs)
-			if err != nil {
-				service.WriteError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if refused := service.CountRefusedInserts(results); refused > 0 {
-				service.WriteError(w, http.StatusInternalServerError,
-					"%d of %d inserts refused: journal failure, classes not durable", refused, len(results))
-				return
-			}
-			service.WriteJSON(w, http.StatusOK, service.EncodeInsertResults(raw, results))
-		})
-	rt.HandleDeprecated("POST", "/v1/compact", "fold sealed WAL segments (use /v2/compact)",
-		func(w http.ResponseWriter, r *http.Request) {
-			results, err := reg.CompactAll()
-			if errors.Is(err, ErrNotDurable) {
-				service.WriteError(w, http.StatusConflict, "%v", err)
-				return
-			}
-			if err != nil {
-				service.WriteError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			service.WriteJSON(w, http.StatusOK, map[string]any{"arities": results})
-		})
-	rt.HandleDeprecated("GET", "/v1/stats", "aggregate + per-arity counters (use /v2/stats)",
-		func(w http.ResponseWriter, r *http.Request) {
-			service.WriteJSON(w, http.StatusOK, reg.Stats())
-		})
 	rt.Handle("GET", "/v1/wal/segments", "replication: per-arity segment manifest", handleWALManifest(reg))
 	rt.Handle("GET", "/v1/wal/snapshot/{arity}", "replication: base snapshot file", handleWALSnapshot(reg))
 	rt.Handle("GET", "/v1/wal/segment/{arity}/{seq}", "replication: raw segment bytes from ?offset=", handleWALSegment(reg))
@@ -209,7 +152,7 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 		})
 	rt.Handle("GET", "/healthz", "liveness + federated range",
 		func(w http.ResponseWriter, r *http.Request) {
-			service.WriteJSON(w, http.StatusOK, map[string]any{
+			api.WriteJSON(w, http.StatusOK, map[string]any{
 				"status":   "ok",
 				"min_vars": reg.MinVars(),
 				"max_vars": reg.MaxVars(),
@@ -220,12 +163,16 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 	return rt
 }
 
-// fedBackend adapts the registry to the shared /v2 handlers.
-type fedBackend struct{ reg *Registry }
+// Backend adapts a registry to the shared /v2 handlers (api.Backend).
+// internal/replica embeds it for arity resolution and local lookups.
+type Backend struct{ reg *Registry }
+
+// NewBackend returns the api.Backend over reg.
+func NewBackend(reg *Registry) Backend { return Backend{reg} }
 
 // Resolve infers the arity from the hex length, constructs that arity's
 // service (so Classify/Insert cannot fail later) and parses the table.
-func (b fedBackend) Resolve(s string) (*tt.TT, *api.Error) {
+func (b Backend) Resolve(s string) (*tt.TT, *api.Error) {
 	n, err := b.reg.ArityOfHex(s)
 	if err != nil {
 		return nil, api.Errf(api.CodeArityOutOfRange,
@@ -243,11 +190,11 @@ func (b fedBackend) Resolve(s string) (*tt.TT, *api.Error) {
 	return f, nil
 }
 
-// CheckArity implements api.ArityBackend for the binary transport: the
-// arity must be federated, and its service is constructed up front so
-// Classify/Insert cannot fail later — the same readiness contract as
-// Resolve, minus the hex round-trip.
-func (b fedBackend) CheckArity(n int) *api.Error {
+// CheckArity is Resolve for the binary transport: the arity must be
+// federated, and its service is constructed up front so Classify/Insert
+// cannot fail later — the same readiness contract, minus the hex
+// round-trip.
+func (b Backend) CheckArity(n int) *api.Error {
 	if n < b.reg.MinVars() || n > b.reg.MaxVars() {
 		return api.Errf(api.CodeArityOutOfRange,
 			"function of arity %d outside the federated range %d..%d",
@@ -259,25 +206,27 @@ func (b fedBackend) CheckArity(n int) *api.Error {
 	return nil
 }
 
-func (b fedBackend) Classify(ctx context.Context, fs []*tt.TT) ([]api.Result, *api.Error) {
+// Classify looks the batch up in the registry's stores.
+func (b Backend) Classify(ctx context.Context, fs []*tt.TT) ([]api.Result, *api.Error) {
 	results, err := b.reg.ClassifyCtx(ctx, fs)
 	if err != nil {
 		return nil, api.Errf(api.CodeInternal, "%v", err)
 	}
-	return service.ToAPIResults(results), nil
+	return toAPIResults(results), nil
 }
 
-func (b fedBackend) Insert(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
+// Insert stores the batch in the registry.
+func (b Backend) Insert(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
 	results, err := b.reg.InsertCtx(ctx, fs)
 	if err != nil {
 		return nil, api.Errf(api.CodeInternal, "%v", err)
 	}
-	return service.ToAPIOutcomes(results), nil
+	return toAPIOutcomes(results), nil
 }
 
 // insertMapped stores a mapping's K-ary LUT functions, provided K is a
 // federated arity.
-func (b fedBackend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
+func (b Backend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
 	if len(fs) > 0 {
 		if k := fs[0].NumVars(); k < b.reg.MinVars() || k > b.reg.MaxVars() {
 			return nil, api.Errf(api.CodeArityOutOfRange,
@@ -288,12 +237,33 @@ func (b fedBackend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.Insert
 	return b.Insert(ctx, fs)
 }
 
+// toAPIResults converts pipeline results to their wire-contract form.
+func toAPIResults(rs []service.Result) []api.Result {
+	out := make([]api.Result, len(rs))
+	for i, r := range rs {
+		out[i] = api.Result{Key: r.Key, Index: r.Index, Hit: r.Hit, Witness: r.Witness}
+		if r.Hit {
+			out[i].RepHex = r.Rep.Hex()
+			out[i].Rep = r.Rep
+		}
+	}
+	return out
+}
+
+// toAPIOutcomes converts pipeline insert results to their wire form.
+func toAPIOutcomes(rs []service.InsertResult) []api.InsertOutcome {
+	out := make([]api.InsertOutcome, len(rs))
+	for i, r := range rs {
+		out[i] = api.InsertOutcome{Key: r.Key, Index: r.Index, New: r.New}
+	}
+	return out
+}
+
 // ArityOfHex maps a hex truth table to the unique federated arity whose
-// encoding has its length (service.HexDigits, unique per arity for
-// n ≥ 2).
+// encoding has its length (api.HexDigits, unique per arity for n ≥ 2).
 func (r *Registry) ArityOfHex(s string) (int, error) {
 	for n := r.lo; n <= r.hi; n++ {
-		if service.HexDigits(n) == len(s) {
+		if api.HexDigits(n) == len(s) {
 			return n, nil
 		}
 	}
@@ -308,22 +278,7 @@ func (r *Registry) arityLengths() string {
 		if n > r.lo {
 			out += ","
 		}
-		out += fmt.Sprint(service.HexDigits(n))
+		out += fmt.Sprint(api.HexDigits(n))
 	}
 	return out
-}
-
-// decodeMixedBatch parses and validates a mixed-arity ClassifyRequest
-// body: the shared service envelope rules, with each function's arity
-// resolved from its hex length. On failure it writes the error response
-// and returns ok=false.
-func decodeMixedBatch(w http.ResponseWriter, r *http.Request, reg *Registry) (fs []*tt.TT, raw []string, ok bool) {
-	return service.DecodeBatchWith(w, r, service.MaxBodyBytes(reg.MaxVars()),
-		func(_ int, s string) (*tt.TT, error) {
-			n, err := reg.ArityOfHex(s)
-			if err != nil {
-				return nil, err
-			}
-			return tt.FromHex(n, s)
-		})
 }

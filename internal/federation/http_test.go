@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/npn"
-	"repro/internal/service"
 	"repro/internal/tt"
 )
 
@@ -53,8 +53,8 @@ func TestHandlerMixedArityRoundTrip(t *testing.T) {
 		base = append(base, f)
 		hexes = append(hexes, f.Hex())
 	}
-	body, _ := json.Marshal(service.ClassifyRequest{Functions: hexes})
-	resp, raw := postJSON(t, srv.URL+"/v1/insert", body)
+	body, _ := json.Marshal(api.BatchRequest{Functions: hexes})
+	resp, raw := postJSON(t, srv.URL+"/v2/insert", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d: %s", resp.StatusCode, raw)
 	}
@@ -65,14 +65,17 @@ func TestHandlerMixedArityRoundTrip(t *testing.T) {
 		queryTT[i] = npn.RandomTransform(f.NumVars(), rng).Apply(f)
 		queries[i] = queryTT[i].Hex()
 	}
-	body, _ = json.Marshal(service.ClassifyRequest{Functions: queries})
-	resp, raw = postJSON(t, srv.URL+"/v1/classify", body)
+	body, _ = json.Marshal(api.BatchRequest{Functions: queries})
+	resp, raw = postJSON(t, srv.URL+"/v2/classify", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify status %d: %s", resp.StatusCode, raw)
 	}
-	var cls service.ClassifyResponse
+	var cls api.ClassifyResponse
 	if err := json.Unmarshal(raw, &cls); err != nil {
 		t.Fatal(err)
+	}
+	if cls.Errors != 0 {
+		t.Fatalf("classify reported %d item errors: %s", cls.Errors, raw)
 	}
 	for i, r := range cls.Results {
 		n := base[i].NumVars()
@@ -88,7 +91,7 @@ func TestHandlerMixedArityRoundTrip(t *testing.T) {
 		}
 	}
 
-	stResp, err := http.Get(srv.URL + "/v1/stats")
+	stResp, err := http.Get(srv.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +106,16 @@ func TestHandlerMixedArityRoundTrip(t *testing.T) {
 }
 
 // TestHandlerErrorPaths is the table of malformed requests the HTTP layer
-// must reject: each case asserts the status code and that the body is the
-// standard {"error": "..."} shape with a non-empty message.
+// must reject. A malformed envelope fails the whole request: the case
+// asserts the status and the {"error": {"code", "message"}} envelope. A
+// malformed function fails only its own item (item >= 0): the batch
+// answers 200 and that item carries the coded error.
 func TestHandlerErrorPaths(t *testing.T) {
 	srv := newTestServer(t, 4, 6)
 
 	hugeBody := func() []byte {
 		// One batch entry far past the body byte bound for MaxVars=6.
-		return []byte(`{"functions":["` + strings.Repeat("f", int(service.MaxBodyBytes(6))+1024) + `"]}`)
+		return []byte(`{"functions":["` + strings.Repeat("f", int(api.MaxBodyBytes(6))+1024) + `"]}`)
 	}
 
 	cases := []struct {
@@ -118,70 +123,89 @@ func TestHandlerErrorPaths(t *testing.T) {
 		path       string
 		body       []byte
 		wantStatus int
+		wantCode   api.Code
+		item       int // index of the failing item; -1 fails the request
 		wantSubstr string
 	}{
 		{
 			name:       "oversized body",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       hugeBody(),
 			wantStatus: http.StatusRequestEntityTooLarge,
+			wantCode:   api.CodeBodyTooLarge,
+			item:       -1,
 			wantSubstr: "exceeds",
 		},
 		{
 			name:       "malformed JSON",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"functions": [`),
 			wantStatus: http.StatusBadRequest,
+			wantCode:   api.CodeBadRequest,
+			item:       -1,
 			wantSubstr: "bad request body",
 		},
 		{
 			name:       "unknown field",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"funcs":["cafef00dcafef00d"]}`),
 			wantStatus: http.StatusBadRequest,
+			wantCode:   api.CodeBadRequest,
+			item:       -1,
 			wantSubstr: "bad request body",
 		},
 		{
 			name:       "empty batch",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"functions":[]}`),
 			wantStatus: http.StatusBadRequest,
+			wantCode:   api.CodeBadRequest,
+			item:       -1,
 			wantSubstr: "non-empty",
 		},
 		{
 			name:       "empty batch on insert",
-			path:       "/v1/insert",
+			path:       "/v2/insert",
 			body:       []byte(`{"functions":[]}`),
 			wantStatus: http.StatusBadRequest,
+			wantCode:   api.CodeBadRequest,
+			item:       -1,
 			wantSubstr: "non-empty",
 		},
 		{
 			name:       "malformed witness hex",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"functions":["zzzzzzzzzzzzzzzz"]}`),
-			wantStatus: http.StatusBadRequest,
-			wantSubstr: "functions[0]",
+			wantStatus: http.StatusOK,
+			wantCode:   api.CodeBadHex,
+			item:       0,
 		},
 		{
 			name:       "arity below federated range",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"functions":["e8"]}`), // 2 digits = n=3 < 4
-			wantStatus: http.StatusBadRequest,
+			wantStatus: http.StatusOK,
+			wantCode:   api.CodeArityOutOfRange,
+			item:       0,
 			wantSubstr: "no federated arity",
 		},
 		{
 			name:       "arity above federated range",
-			path:       "/v1/insert",
+			path:       "/v2/insert",
 			body:       []byte(`{"functions":["` + strings.Repeat("a", 32) + `"]}`), // n=7 > 6
-			wantStatus: http.StatusBadRequest,
+			wantStatus: http.StatusOK,
+			wantCode:   api.CodeArityOutOfRange,
+			item:       0,
 			wantSubstr: "no federated arity",
 		},
 		{
 			name:       "second function bad in mixed batch",
-			path:       "/v1/classify",
+			path:       "/v2/classify",
 			body:       []byte(`{"functions":["cafef00dcafef00d","123"]}`),
-			wantStatus: http.StatusBadRequest,
-			wantSubstr: "functions[1]",
+			wantStatus: http.StatusOK,
+			wantCode:   api.CodeArityOutOfRange,
+			item:       1,
+			wantSubstr: "no federated arity",
 		},
 	}
 
@@ -194,15 +218,34 @@ func TestHandlerErrorPaths(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("Content-Type %q, want application/json", ct)
 			}
-			var e service.ErrorJSON
-			if err := json.Unmarshal(body, &e); err != nil {
-				t.Fatalf("error body is not the standard shape: %v (%s)", err, body)
+			var e *api.Error
+			if tc.item < 0 {
+				var env api.ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil {
+					t.Fatalf("error body is not the envelope: %v (%s)", err, body)
+				}
+				e = env.Error
+			} else {
+				// Classify and insert items share the function/error shape.
+				var batch struct {
+					Results []struct {
+						Error *api.Error `json:"error"`
+					} `json:"results"`
+					Errors int `json:"errors"`
+				}
+				if err := json.Unmarshal(body, &batch); err != nil {
+					t.Fatalf("batch body: %v (%s)", err, body)
+				}
+				if batch.Errors != 1 || len(batch.Results) <= tc.item {
+					t.Fatalf("want exactly item %d failed: %s", tc.item, body)
+				}
+				e = batch.Results[tc.item].Error
 			}
-			if e.Error == "" {
-				t.Fatal("error message empty")
+			if e == nil || e.Code != tc.wantCode || e.Message == "" {
+				t.Fatalf("error %+v, want code %s with a message (body %s)", e, tc.wantCode, body)
 			}
-			if !strings.Contains(e.Error, tc.wantSubstr) {
-				t.Fatalf("error %q does not mention %q", e.Error, tc.wantSubstr)
+			if !strings.Contains(e.Message, tc.wantSubstr) {
+				t.Fatalf("error %q does not mention %q", e.Message, tc.wantSubstr)
 			}
 		})
 	}
@@ -232,16 +275,17 @@ func TestHandlerHealthz(t *testing.T) {
 	}
 }
 
-// TestHandlerCompact drives the admin compaction endpoint: 409 on a
-// memory-only registry, and a folded-segment report on a durable one.
+// TestHandlerCompact drives the admin compaction endpoint: 409
+// not_durable on a memory-only registry, and a folded-segment report on
+// a durable one.
 func TestHandlerCompact(t *testing.T) {
 	srv := newTestServer(t, 4, 6)
-	resp, raw := postJSON(t, srv.URL+"/v1/compact", nil)
+	resp, raw := postJSON(t, srv.URL+"/v2/compact", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("compact on memory-only registry: status %d (%s)", resp.StatusCode, raw)
 	}
-	var e service.ErrorJSON
-	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil || env.Error.Code != api.CodeNotDurable {
 		t.Fatalf("compact error body %s", raw)
 	}
 
@@ -255,11 +299,11 @@ func TestHandlerCompact(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		hexes = append(hexes, tt.Random(5, rng).Hex())
 	}
-	body, _ := json.Marshal(service.ClassifyRequest{Functions: hexes})
-	if resp, raw := postJSON(t, dsrv.URL+"/v1/insert", body); resp.StatusCode != http.StatusOK {
+	body, _ := json.Marshal(api.BatchRequest{Functions: hexes})
+	if resp, raw := postJSON(t, dsrv.URL+"/v2/insert", body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d: %s", resp.StatusCode, raw)
 	}
-	resp, raw = postJSON(t, dsrv.URL+"/v1/compact", nil)
+	resp, raw = postJSON(t, dsrv.URL+"/v2/compact", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compact status %d: %s", resp.StatusCode, raw)
 	}
@@ -274,7 +318,7 @@ func TestHandlerCompact(t *testing.T) {
 	}
 
 	// The durable stats now show the log's shape.
-	stResp, err := http.Get(dsrv.URL + "/v1/stats")
+	stResp, err := http.Get(dsrv.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

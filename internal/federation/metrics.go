@@ -1,6 +1,6 @@
 // Prometheus export of the federation's counters (internal/obs). The
 // registry keeps exactly one source of truth — the same atomic counters
-// and Stats() snapshots /v1/stats and /v2/stats serve — and exposes them
+// and Stats() snapshots /v2/stats serves — and exposes them
 // as pull collectors read at scrape time, so the JSON stats and the
 // /metrics exposition can never disagree. Only latency and size
 // distributions (batch size/duration, fsync duration), which no JSON

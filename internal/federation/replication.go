@@ -21,7 +21,7 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"repro/internal/service"
+	"repro/internal/api"
 	"repro/internal/wal"
 )
 
@@ -184,19 +184,27 @@ func (r *Registry) pruneMetaCache(n int, listed []SegmentInfo) {
 	r.metaMu.Unlock()
 }
 
+// walError writes the replication feed's flat {"error": "..."} body. The
+// feed is the internal primary↔follower protocol, not a /v2 route: it
+// keeps the shape older followers expect, so a mixed-version pair keeps
+// replicating during an upgrade (followers read only the status).
+func walError(w http.ResponseWriter, status int, format string, args ...any) {
+	api.WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
 // handleWALManifest is GET /v1/wal/segments.
 func handleWALManifest(reg *Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		m, err := reg.Manifest()
 		if errors.Is(err, ErrNotDurable) {
-			service.WriteError(w, http.StatusConflict, "%v", err)
+			walError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		if err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
+			walError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		service.WriteJSON(w, http.StatusOK, m)
+		api.WriteJSON(w, http.StatusOK, m)
 	}
 }
 
@@ -205,12 +213,12 @@ func handleWALManifest(reg *Registry) http.HandlerFunc {
 // ok=false.
 func walArity(w http.ResponseWriter, r *http.Request, reg *Registry) (int, bool) {
 	if !reg.Durable() {
-		service.WriteError(w, http.StatusConflict, "%v", ErrNotDurable)
+		walError(w, http.StatusConflict, "%v", ErrNotDurable)
 		return 0, false
 	}
 	n, err := strconv.Atoi(r.PathValue("arity"))
 	if err != nil || n < reg.lo || n > reg.hi {
-		service.WriteError(w, http.StatusBadRequest, "arity %q outside federated range %d..%d",
+		walError(w, http.StatusBadRequest, "arity %q outside federated range %d..%d",
 			r.PathValue("arity"), reg.lo, reg.hi)
 		return 0, false
 	}
@@ -227,11 +235,11 @@ func handleWALSnapshot(reg *Registry) http.HandlerFunc {
 		}
 		f, err := os.Open(filepath.Join(reg.ArityDir(n), wal.SnapshotFile))
 		if os.IsNotExist(err) {
-			service.WriteError(w, http.StatusNotFound, "arity %d has no snapshot", n)
+			walError(w, http.StatusNotFound, "arity %d has no snapshot", n)
 			return
 		}
 		if err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
+			walError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		defer f.Close()
@@ -256,14 +264,14 @@ func handleWALSegment(reg *Registry) http.HandlerFunc {
 		}
 		seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 64)
 		if err != nil || seq == 0 {
-			service.WriteError(w, http.StatusBadRequest, "bad segment sequence %q", r.PathValue("seq"))
+			walError(w, http.StatusBadRequest, "bad segment sequence %q", r.PathValue("seq"))
 			return
 		}
 		offset := int64(0)
 		if o := r.URL.Query().Get("offset"); o != "" {
 			offset, err = strconv.ParseInt(o, 10, 64)
 			if err != nil || offset < 0 {
-				service.WriteError(w, http.StatusBadRequest, "bad offset %q", o)
+				walError(w, http.StatusBadRequest, "bad offset %q", o)
 				return
 			}
 		}
@@ -278,29 +286,29 @@ func handleWALSegment(reg *Registry) http.HandlerFunc {
 		path := wal.SegmentPath(reg.ArityDir(n), seq)
 		f, err := os.Open(path)
 		if os.IsNotExist(err) {
-			service.WriteError(w, http.StatusNotFound, "arity %d segment %d is gone (compacted)", n, seq)
+			walError(w, http.StatusNotFound, "arity %d segment %d is gone (compacted)", n, seq)
 			return
 		}
 		if err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
+			walError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		defer f.Close()
 		info, err := f.Stat()
 		if err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
+			walError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		if end < 0 || end > info.Size() {
 			end = info.Size()
 		}
 		if offset > end {
-			service.WriteError(w, http.StatusRequestedRangeNotSatisfiable,
+			walError(w, http.StatusRequestedRangeNotSatisfiable,
 				"offset %d beyond durable segment size %d", offset, end)
 			return
 		}
 		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			service.WriteError(w, http.StatusInternalServerError, "%v", err)
+			walError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		// The segment's meta word and sealedness travel in the manifest;

@@ -11,10 +11,10 @@
 // internal/wal, internal/federation, internal/replica) already keeps its
 // own atomic counters, and those layers register pull collectors
 // (RegisterFunc) that read the very same atomics at scrape time. The
-// /v1/stats and /v2/stats JSON bodies and the /metrics exposition are
-// therefore three renderings of one set of counters and can never
-// disagree. Only genuinely new measurements — latency distributions —
-// live in the registry itself, as push-updated histograms.
+// /v2/stats JSON body and the /metrics exposition are therefore two
+// renderings of one set of counters and can never disagree. Only
+// genuinely new measurements — latency distributions — live in the
+// registry itself, as push-updated histograms.
 //
 // Instruments are safe for concurrent use; Observe/Add/Set are a handful
 // of atomic operations and are safe to call from hot paths, including

@@ -2,45 +2,42 @@ package replica
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strconv"
 
 	"repro/internal/api"
 	"repro/internal/federation"
 	"repro/internal/obs"
-	"repro/internal/service"
 	"repro/internal/tt"
 )
 
 // NewHandler returns the follower HTTP surface over f with the default
-// body bound for uploads and streams; see NewHandlerWith.
+// body bound for uploads and streams and no observability surface; see
+// NewHandlerOpts.
 func NewHandler(f *Follower) http.Handler {
-	return NewHandlerWith(f, api.DefaultMaxBody)
+	return NewHandlerOpts(f, federation.HandlerOptions{})
 }
 
-// NewHandlerWith returns the follower's versioned API, mounted on the
+// NewHandlerOpts returns the follower's versioned API, mounted on the
 // shared api.Router. It speaks the same wire format as the primary's
 // federated handler, with the follower's read/write role distinction
 // threaded through every route:
 //
-//	POST /v2/classify (+ /v1, + /stream)
+//	POST /v2/classify (+ /stream)
 //	                   served from the local replicated stores; in proxy
 //	                   mode, misses are re-asked of the primary through
 //	                   pkg/client and the answers merged (a fresh class
 //	                   the tail loop has not applied yet still hits).
 //	                   Primary unreachable: local answers stand — reads
 //	                   never fail over a dead primary.
-//	POST /v2/insert (+ /v1, + /stream)
+//	POST /v2/insert (+ /stream)
 //	                   proxy mode: forwarded to the primary
 //	                   (primary_unreachable/502 when it is gone); local
 //	                   mode: read_only/403 — the follower is read-only.
 //	POST /v2/map       mapped locally; ?insert=true forwards the LUT
 //	                   classes in proxy mode and is read_only in local.
-//	POST /v2/compact (+ /v1)
-//	                   read_only/403 always; compaction is the primary's.
-//	GET  /v2/stats (+ /v1)
-//	                   the federation stats plus a "replication" section
+//	POST /v2/compact   read_only/403 always; compaction is the primary's.
+//	GET  /v2/stats     the federation stats plus a "replication" section
 //	                   (lag in segments/bytes per arity, sync health,
 //	                   proxy counters).
 //	GET  /v2/spec      routes + error codes.
@@ -48,86 +45,20 @@ func NewHandler(f *Follower) http.Handler {
 //	                   the staleness gate (Options.StaleAfter) is
 //	                   tripped, so load balancers drain a follower that
 //	                   lost its primary.
-func NewHandlerWith(f *Follower, maxBody int64) http.Handler {
-	return NewHandlerOpts(f, federation.HandlerOptions{MaxBody: maxBody})
-}
-
-// NewHandlerOpts is NewHandlerWith plus the observability surface (the
-// same options struct the federated handler takes): with Metrics set the
-// follower serves GET /metrics carrying both the local federation's
-// series and the replication lag/sync/proxy series, and with HTTP set
-// every route is traced and measured by the obs middleware.
+//
+// The observability surface is mounted exactly as on the primary
+// (federation.HandlerOptions.Mount); with Metrics set, GET /metrics also
+// carries the replication lag/sync/proxy series.
 func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
-	maxBody := o.MaxBody
-	if maxBody <= 0 {
-		maxBody = api.DefaultMaxBody
-	}
+	maxBody := o.BodyLimit()
 	rt := api.NewRouter("follower")
 	reg := f.Registry()
-	if o.HTTP != nil {
-		rt.Use(o.HTTP.Wrap)
-	}
-	if o.Guard != nil {
-		rt.Use(o.Guard)
-	}
+	o.Mount(rt, reg)
 	if o.Metrics != nil {
-		reg.RegisterMetrics(o.Metrics)
 		f.RegisterMetrics(o.Metrics)
-		rt.Handle("GET", "/metrics", "Prometheus metrics exposition", obs.Handler(o.Metrics))
 	}
-	if o.Trace != nil {
-		rt.Handle("GET", "/v2/debug/traces", "flight recorder: retained request traces, newest first (?min_ms=&route=)",
-			api.HandleTraces(o.Trace))
-		rt.Handle("GET", "/v2/debug/traces/{id}", "flight recorder: one trace's span tree, by request ID",
-			api.HandleTrace(o.Trace))
-	}
-	b := replicaBackend{f}
-	jsonBody := service.MaxBodyBytes(reg.MaxVars())
-
-	rt.HandleDeprecated("POST", "/v1/classify", "local lookup, proxy-merged misses (use /v2/classify)",
-		func(w http.ResponseWriter, r *http.Request) {
-			if !api.CheckContentType(w, r, "application/json") {
-				return
-			}
-			fs, raw, ok := decodeMixedBatch(w, r, reg)
-			if !ok {
-				return
-			}
-			results, err := reg.ClassifyCtx(r.Context(), fs)
-			if err != nil {
-				service.WriteError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			resp := service.EncodeClassifyResults(raw, results)
-			if f.Mode() == ModeProxy {
-				f.proxyMisses(r.Context(), raw, &resp)
-			}
-			service.WriteJSON(w, http.StatusOK, resp)
-		})
-	rt.HandleDeprecated("POST", "/v1/insert", "proxy-forwarded insert (use /v2/insert)",
-		func(w http.ResponseWriter, r *http.Request) {
-			if !api.CheckContentType(w, r, "application/json") {
-				return
-			}
-			if f.Mode() != ModeProxy {
-				service.WriteError(w, http.StatusForbidden,
-					"follower is read-only (mode local); insert on the primary %s", f.Primary())
-				return
-			}
-			f.relayInsert(w, r)
-		})
-	rt.HandleDeprecated("POST", "/v1/compact", "refused on a follower",
-		func(w http.ResponseWriter, r *http.Request) {
-			service.WriteError(w, http.StatusForbidden,
-				"follower holds no write-ahead log; compact on the primary %s", f.Primary())
-		})
-	rt.HandleDeprecated("GET", "/v1/stats", "federation + replication counters (use /v2/stats)",
-		func(w http.ResponseWriter, r *http.Request) {
-			service.WriteJSON(w, http.StatusOK, statsResponse{
-				Stats:       reg.Stats(),
-				Replication: f.Stats(),
-			})
-		})
+	b := replicaBackend{Backend: federation.NewBackend(reg), f: f}
+	jsonBody := api.MaxBodyBytes(reg.MaxVars())
 
 	rt.Handle("POST", "/v2/classify", "local lookup with per-item errors, proxy-merged misses",
 		api.HandleClassify(b, jsonBody))
@@ -138,9 +69,9 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 	// A local-mode follower mounts no map-insert hook at all, so
 	// ?insert=true is refused before any mapping work; in proxy mode the
 	// discovered classes are forwarded to the primary.
-	mapInsert := b.insertMapped
-	if f.Mode() != ModeProxy {
-		mapInsert = nil
+	var mapInsert func(context.Context, []*tt.TT) ([]api.InsertOutcome, *api.Error)
+	if f.Mode() == ModeProxy {
+		mapInsert = b.Insert
 	}
 	rt.Handle("POST", "/v2/map", "map an ASCII-AIGER circuit to k-LUTs",
 		api.HandleMap(api.MapConfig{MaxBody: maxBody, Insert: mapInsert}))
@@ -169,10 +100,10 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 			}
 			if f.Stale() {
 				body["status"] = "stale"
-				service.WriteJSON(w, http.StatusServiceUnavailable, body)
+				api.WriteJSON(w, http.StatusServiceUnavailable, body)
 				return
 			}
-			service.WriteJSON(w, http.StatusOK, body)
+			api.WriteJSON(w, http.StatusOK, body)
 		})
 	rt.MountSpec()
 	return rt
@@ -185,42 +116,13 @@ type statsResponse struct {
 	Replication Stats `json:"replication"`
 }
 
-// replicaBackend adapts the follower to the shared /v2 handlers: reads
-// come from the local replicated stores, writes go through the primary.
-type replicaBackend struct{ f *Follower }
-
-func (b replicaBackend) Resolve(s string) (*tt.TT, *api.Error) {
-	reg := b.f.Registry()
-	n, err := reg.ArityOfHex(s)
-	if err != nil {
-		return nil, api.Errf(api.CodeArityOutOfRange,
-			"hex truth table of %d digits matches no federated arity %d..%d",
-			len(s), reg.MinVars(), reg.MaxVars())
-	}
-	if _, err := reg.Service(n); err != nil {
-		return nil, api.Errf(api.CodeInternal, "%v", err)
-	}
-	f, err := tt.FromHex(n, s)
-	if err != nil {
-		return nil, api.Errf(api.CodeBadHex, "%v", err)
-	}
-	return f, nil
-}
-
-// CheckArity implements api.ArityBackend for the binary transport: the
-// arity must be inside the replicated federated range and its service
-// ready, mirroring Resolve.
-func (b replicaBackend) CheckArity(n int) *api.Error {
-	reg := b.f.Registry()
-	if n < reg.MinVars() || n > reg.MaxVars() {
-		return api.Errf(api.CodeArityOutOfRange,
-			"function of arity %d outside the federated range %d..%d",
-			n, reg.MinVars(), reg.MaxVars())
-	}
-	if _, err := reg.Service(n); err != nil {
-		return api.Errf(api.CodeInternal, "%v", err)
-	}
-	return nil
+// replicaBackend adapts the follower to the shared /v2 handlers: arity
+// resolution and local lookups are the federated backend's over the
+// replicated registry; misses may be re-asked of the primary, and writes
+// go through it.
+type replicaBackend struct {
+	federation.Backend
+	f *Follower
 }
 
 // Classify answers from the replicated stores; in proxy mode the misses
@@ -228,13 +130,12 @@ func (b replicaBackend) CheckArity(n int) *api.Error {
 // local misses standing — the graceful degradation that keeps a follower
 // serving when its primary is gone.
 func (b replicaBackend) Classify(ctx context.Context, fs []*tt.TT) ([]api.Result, *api.Error) {
-	results, err := b.f.Registry().ClassifyCtx(ctx, fs)
-	if err != nil {
-		return nil, api.Errf(api.CodeInternal, "%v", err)
+	out, e := b.Backend.Classify(ctx, fs)
+	if e != nil {
+		return nil, e
 	}
-	out := service.ToAPIResults(results)
 	if b.f.Mode() == ModeProxy {
-		b.f.proxyMissResults(ctx, fs, out)
+		b.f.proxyMisses(ctx, fs, out)
 	}
 	return out, nil
 }
@@ -280,21 +181,22 @@ func (b replicaBackend) Insert(ctx context.Context, fs []*tt.TT) ([]api.InsertOu
 	return out, nil
 }
 
-// insertMapped forwards a mapping's LUT classes to the primary; a
-// local-mode follower cannot warm anything (its handler mounts no hook).
-func (b replicaBackend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
-	return b.Insert(ctx, fs)
-}
-
-// askPrimary is the one miss-proxy algorithm both API versions share:
-// re-ask the primary about the functions at missIdx and return its items
-// aligned with missIdx, or nil when the answers are unusable (primary
-// unreachable, response shape wrong) — the caller's local misses then
-// stand, the graceful degradation that keeps a follower serving when its
-// primary is gone. Failures are counted in ProxyErrors.
-func (f *Follower) askPrimary(ctx context.Context, missFns []string) []api.ClassifyItem {
+// proxyMisses re-asks the primary about every miss in out and merges its
+// hits back in place. When the answers are unusable (primary unreachable,
+// response shape wrong, a malformed witness from a foreign primary) the
+// local misses stand — the graceful degradation that keeps a follower
+// serving when its primary is gone. Failures are counted in ProxyErrors.
+func (f *Follower) proxyMisses(ctx context.Context, fs []*tt.TT, out []api.Result) {
+	var missIdx []int
+	var missFns []string
+	for i, r := range out {
+		if !r.Hit {
+			missIdx = append(missIdx, i)
+			missFns = append(missFns, fs[i].Hex())
+		}
+	}
 	if len(missFns) == 0 {
-		return nil
+		return
 	}
 	f.proxiedClassifies.Add(int64(len(missFns)))
 	hctx, sp := obs.StartSpan(ctx, "replica.primary_hop")
@@ -306,34 +208,14 @@ func (f *Follower) askPrimary(ctx context.Context, missFns []string) []api.Class
 	if err != nil {
 		f.proxyErrors.Add(1)
 		f.logf("replica: proxy classify: %v", err)
-		return nil
+		return
 	}
 	if len(resp.Results) != len(missFns) {
 		f.proxyErrors.Add(1)
-		return nil
-	}
-	return resp.Results
-}
-
-// proxyMissResults re-asks the primary about every miss and merges hits
-// back in place, converting wire items to pipeline results. Conversion
-// failures (a malformed witness from a foreign primary) leave the local
-// miss standing.
-func (f *Follower) proxyMissResults(ctx context.Context, fs []*tt.TT, out []api.Result) {
-	var missIdx []int
-	var missFns []string
-	for i, r := range out {
-		if !r.Hit {
-			missIdx = append(missIdx, i)
-			missFns = append(missFns, fs[i].Hex())
-		}
-	}
-	items := f.askPrimary(ctx, missFns)
-	if items == nil {
 		return
 	}
 	for j, i := range missIdx {
-		it := items[j]
+		it := resp.Results[j]
 		if it.Error != nil || !it.Hit || it.Witness == nil || it.Index == nil {
 			continue
 		}
@@ -345,79 +227,4 @@ func (f *Follower) proxyMissResults(ctx context.Context, fs []*tt.TT, out []api.
 		}
 		out[i] = api.Result{Key: key, Index: *it.Index, Hit: true, RepHex: it.Rep, Witness: tr}
 	}
-}
-
-// proxyMisses is the /v1 twin of proxyMissResults, splicing primary hits
-// into the v1 response shape through the same askPrimary core.
-func (f *Follower) proxyMisses(ctx context.Context, raw []string, resp *service.ClassifyResponse) {
-	var missIdx []int
-	var missFns []string
-	for i, res := range resp.Results {
-		if !res.Hit {
-			missIdx = append(missIdx, i)
-			missFns = append(missFns, raw[i])
-		}
-	}
-	items := f.askPrimary(ctx, missFns)
-	if items == nil {
-		return
-	}
-	for j, i := range missIdx {
-		it := items[j]
-		if it.Error != nil {
-			continue
-		}
-		// service.WitnessJSON is an alias of api.Witness, so the primary's
-		// witness carries over as-is.
-		resp.Results[i] = service.ClassifyResultJSON{
-			Function: raw[i],
-			Hit:      it.Hit,
-			Class:    it.Class,
-			Index:    it.Index,
-			Rep:      it.Rep,
-			Witness:  it.Witness,
-		}
-	}
-}
-
-// relayInsert forwards a /v1 insert request body verbatim to the primary
-// through the raw escape hatch of pkg/client and relays status and body,
-// so the v1 shim stays byte-compatible. The inserted classes reach the
-// follower's own stores through the tail loop, usually within one poll
-// interval.
-func (f *Follower) relayInsert(w http.ResponseWriter, r *http.Request) {
-	reg := f.Registry()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxBodyBytes(reg.MaxVars())))
-	if err != nil {
-		service.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return
-	}
-	f.proxiedInserts.Add(1)
-	hctx, sp := obs.StartSpan(r.Context(), "replica.primary_hop")
-	sp.SetAttr("op", "insert")
-	status, respBody, err := f.api.Post(hctx, "/v1/insert", "application/json", body)
-	sp.SetBool("ok", err == nil)
-	sp.End()
-	if err != nil {
-		f.proxyErrors.Add(1)
-		service.WriteError(w, http.StatusBadGateway, "primary unreachable: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(respBody)
-}
-
-// decodeMixedBatch parses a mixed-arity batch exactly as the federated
-// handler does: shared envelope rules, arity inferred per function from
-// its hex length.
-func decodeMixedBatch(w http.ResponseWriter, r *http.Request, reg *federation.Registry) (fs []*tt.TT, raw []string, ok bool) {
-	return service.DecodeBatchWith(w, r, service.MaxBodyBytes(reg.MaxVars()),
-		func(_ int, s string) (*tt.TT, error) {
-			n, err := reg.ArityOfHex(s)
-			if err != nil {
-				return nil, err
-			}
-			return tt.FromHex(n, s)
-		})
 }

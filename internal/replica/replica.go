@@ -30,7 +30,7 @@
 // history), and a class is visible locally at most one poll interval
 // plus one primary fsync interval after it was acknowledged.
 // Lag is tracked per arity in segments and bytes and exposed through
-// Stats (the follower handler's /v1/stats replication section); when the
+// Stats (the follower handler's /v2/stats replication section); when the
 // primary stops answering, the follower keeps serving its replicated
 // classes — reads never depend on the primary being alive.
 package replica
@@ -531,7 +531,7 @@ type ArityLag struct {
 	LagBytes       int64  `json:"lag_bytes"`
 }
 
-// Stats is the replication section of a follower's /v1/stats: the
+// Stats is the replication section of a follower's /v2/stats: the
 // primary, the tail loop's health and the per-arity cursors with their
 // lag in segments and bytes.
 type Stats struct {

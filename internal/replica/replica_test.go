@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/federation"
 	"repro/internal/npn"
 	"repro/internal/replica"
-	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/internal/wal"
@@ -71,20 +71,33 @@ func post(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
-func classify(t *testing.T, url string, fns []string) service.ClassifyResponse {
+func classify(t *testing.T, url string, fns []string) api.ClassifyResponse {
 	t.Helper()
-	resp, body := post(t, url+"/v1/classify", service.ClassifyRequest{Functions: fns})
+	resp, body := post(t, url+"/v2/classify", api.BatchRequest{Functions: fns})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify status %d: %s", resp.StatusCode, body)
 	}
-	var cls service.ClassifyResponse
+	var cls api.ClassifyResponse
 	if err := json.Unmarshal(body, &cls); err != nil {
 		t.Fatal(err)
+	}
+	if cls.Errors != 0 {
+		t.Fatalf("classify item errors: %s", body)
 	}
 	return cls
 }
 
-// followerStats decodes the follower's /v1/stats: federation stats plus
+// errorCode decodes a /v2 error envelope's code.
+func errorCode(t *testing.T, body []byte) api.Code {
+	t.Helper()
+	var env api.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || env.Error == nil {
+		t.Fatalf("not an error envelope: %s", body)
+	}
+	return env.Error.Code
+}
+
+// followerStats decodes the follower's /v2/stats: federation stats plus
 // the replication section.
 type followerStats struct {
 	federation.Stats
@@ -93,7 +106,7 @@ type followerStats struct {
 
 func getStats(t *testing.T, url string) followerStats {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
+	resp, err := http.Get(url + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,16 +252,16 @@ func TestFollowerProxyMode(t *testing.T) {
 
 	// Inserts forward to the primary, then replicate back on the next sync.
 	f1 := tt.Random(6, rng)
-	resp, body := post(t, fsrv.URL+"/v1/insert", service.ClassifyRequest{Functions: []string{f1.Hex()}})
+	resp, body := post(t, fsrv.URL+"/v2/insert", api.BatchRequest{Functions: []string{f1.Hex()}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("proxied insert status %d: %s", resp.StatusCode, body)
 	}
-	var ins service.InsertResponse
+	var ins api.InsertResponse
 	if err := json.Unmarshal(body, &ins); err != nil {
 		t.Fatal(err)
 	}
-	if !ins.Results[0].New {
-		t.Fatal("proxied insert not created on primary")
+	if ins.Errors != 0 || !ins.Results[0].New {
+		t.Fatalf("proxied insert not created on primary: %s", body)
 	}
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
@@ -271,9 +284,9 @@ func TestFollowerProxyMode(t *testing.T) {
 	if fol.Stats().ProxyErrors == 0 {
 		t.Fatal("proxy failure not counted")
 	}
-	resp, _ = post(t, fsrv.URL+"/v1/insert", service.ClassifyRequest{Functions: []string{unknown.Hex()}})
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("insert against dead primary: status %d, want 502", resp.StatusCode)
+	resp, body = post(t, fsrv.URL+"/v2/insert", api.BatchRequest{Functions: []string{unknown.Hex()}})
+	if resp.StatusCode != http.StatusBadGateway || errorCode(t, body) != api.CodePrimaryUnreachable {
+		t.Fatalf("insert against dead primary: %d %s, want 502 primary_unreachable", resp.StatusCode, body)
 	}
 }
 
@@ -283,13 +296,13 @@ func TestFollowerReadOnlySurface(t *testing.T) {
 	_, psrv := newPrimary(t)
 	_, fsrv := newFollower(t, psrv.URL, replica.ModeLocal, 0)
 
-	resp, _ := post(t, fsrv.URL+"/v1/insert", service.ClassifyRequest{Functions: []string{"1ee1"}})
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("local-mode insert status %d, want 403", resp.StatusCode)
+	resp, body := post(t, fsrv.URL+"/v2/insert", api.BatchRequest{Functions: []string{"1ee1"}})
+	if resp.StatusCode != http.StatusForbidden || errorCode(t, body) != api.CodeReadOnly {
+		t.Fatalf("local-mode insert: %d %s, want 403 read_only", resp.StatusCode, body)
 	}
-	resp, _ = post(t, fsrv.URL+"/v1/compact", struct{}{})
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("follower compact status %d, want 403", resp.StatusCode)
+	resp, body = post(t, fsrv.URL+"/v2/compact", struct{}{})
+	if resp.StatusCode != http.StatusForbidden || errorCode(t, body) != api.CodeReadOnly {
+		t.Fatalf("follower compact: %d %s, want 403 read_only", resp.StatusCode, body)
 	}
 }
 

@@ -2,8 +2,8 @@
 // internal/store: batch classify/insert requests fanned across a worker
 // pool, a bounded LRU cache of recent function → (class, witness) results,
 // and atomic counters (hits, misses, collisions, latency) exposed as a
-// stats snapshot. The HTTP/JSON surface in http.go is what cmd/npnserve
-// serves; the pipeline itself is transport-agnostic and usable in-process.
+// stats snapshot. The pipeline is transport-agnostic: internal/federation
+// serves one Service per arity over HTTP, and it is usable in-process.
 //
 // Batches are split into contiguous chunks, one per worker, mirroring
 // core.ClassifyParallel: signature hashing dominates and is embarrassingly

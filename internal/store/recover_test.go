@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -220,12 +221,12 @@ func TestRecoverAfterCompaction(t *testing.T) {
 // failingJournal refuses every insert at log time.
 type failingJournal struct{ calls int }
 
-func (j *failingJournal) LogInsert(uint64, *tt.TT) error {
+func (j *failingJournal) LogInsert(context.Context, uint64, *tt.TT) error {
 	j.calls++
 	return errors.New("disk full")
 }
 
-func (j *failingJournal) Commit() error { return nil }
+func (j *failingJournal) Commit(context.Context) error { return nil }
 
 // TestJournalFailureRefusesInsert: write-ahead ordering means a class the
 // journal cannot log is never published.
@@ -252,8 +253,8 @@ func TestJournalFailureRefusesInsert(t *testing.T) {
 // commitFailJournal logs fine but cannot make the log durable.
 type commitFailJournal struct{}
 
-func (commitFailJournal) LogInsert(uint64, *tt.TT) error { return nil }
-func (commitFailJournal) Commit() error                  { return errors.New("fsync failed") }
+func (commitFailJournal) LogInsert(context.Context, uint64, *tt.TT) error { return nil }
+func (commitFailJournal) Commit(context.Context) error                    { return errors.New("fsync failed") }
 
 // TestCommitFailureReportsRefusal: a commit (fsync) failure happens after
 // publication, so the class serves until restart — but the insert must

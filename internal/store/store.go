@@ -1,8 +1,7 @@
-// Package store implements a sharded, concurrency-safe NPN class store —
-// the online counterpart of internal/classdb. Functions are keyed by the
-// 64-bit hash of their canonical MSV (internal/core); the key selects one
-// of N shards, each guarded by its own RWMutex, so lookups and inserts of
-// unrelated classes never contend.
+// Package store implements a sharded, concurrency-safe NPN class store.
+// Functions are keyed by the 64-bit hash of their canonical MSV
+// (internal/core); the key selects one of N shards, each guarded by its
+// own RWMutex, so lookups and inserts of unrelated classes never contend.
 //
 // Signatures are a necessary condition for NPN equivalence only, so two
 // inequivalent functions may share a key. Every key therefore holds a
@@ -103,38 +102,12 @@ type Options struct {
 // store; an error refuses the insert (the class is not published).
 // Commit is called once per logged insert after publication, outside any
 // lock — it is where a sync-every-append journal pays its fsync, so disk
-// latency never stalls the shard. internal/wal's Writer implements both.
+// latency never stalls the shard. Both receive the request context, so a
+// journal can attach tracing spans to the append and the fsync wait.
+// internal/wal's Writer implements it.
 type Journal interface {
-	LogInsert(key uint64, f *tt.TT) error
-	Commit() error
-}
-
-// CtxJournal is an optional Journal extension: a journal implementing it
-// receives the request context on both phases so it can attach tracing
-// spans to the append and the fsync wait. internal/wal's Writer
-// implements it; plain Journals keep working unchanged.
-type CtxJournal interface {
-	Journal
-	LogInsertCtx(ctx context.Context, key uint64, f *tt.TT) error
-	CommitCtx(ctx context.Context) error
-}
-
-// logInsertCtx routes a journal append through the context-aware variant
-// when the journal offers one.
-func logInsertCtx(ctx context.Context, j Journal, key uint64, f *tt.TT) error {
-	if cj, ok := j.(CtxJournal); ok {
-		return cj.LogInsertCtx(ctx, key, f)
-	}
-	return j.LogInsert(key, f)
-}
-
-// commitCtx routes a journal commit through the context-aware variant
-// when the journal offers one.
-func commitCtx(ctx context.Context, j Journal) error {
-	if cj, ok := j.(CtxJournal); ok {
-		return cj.CommitCtx(ctx)
-	}
-	return j.Commit()
+	LogInsert(ctx context.Context, key uint64, f *tt.TT) error
+	Commit(ctx context.Context) error
 }
 
 // engines is one borrowed pair of stateful signature engines.
@@ -376,8 +349,8 @@ func (s *Store) Add(f *tt.TT) (key uint64, index int, isNew bool) {
 
 // AddCtx is Add with the request context threaded through for tracing:
 // the insert runs under a store.add span, the chain certification under
-// store.certify, and a context-aware journal (CtxJournal) records its
-// append and fsync phases as wal.* spans.
+// store.certify, and the journal receives the context for its append and
+// fsync phases (internal/wal records them as wal.* spans).
 func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, isNew bool) {
 	if s.readOnly {
 		return 0, -1, false
@@ -425,7 +398,7 @@ func (s *Store) addCertified(ctx context.Context, f *tt.TT) (key uint64, index i
 	}
 	j := s.journal
 	if j != nil {
-		if err := logInsertCtx(ctx, j, key, f); err != nil {
+		if err := j.LogInsert(ctx, key, f); err != nil {
 			sh.mu.Unlock()
 			s.journalErrs.Add(1)
 			return key, -1, false
@@ -435,7 +408,7 @@ func (s *Store) addCertified(ctx context.Context, f *tt.TT) (key uint64, index i
 	index = len(c.reps) - 1
 	sh.mu.Unlock()
 	if j != nil {
-		if err := commitCtx(ctx, j); err != nil {
+		if err := j.Commit(ctx); err != nil {
 			s.journalErrs.Add(1)
 			return key, -1, false
 		}

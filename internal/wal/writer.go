@@ -254,14 +254,32 @@ func (w *Writer) appendLocked(key uint64, f *tt.TT) error {
 // appends (group mode leaves durability to the background flusher). A
 // segment can therefore overshoot SegmentBytes by the records buffered
 // between commits — bounded by one insert batch.
-func (w *Writer) LogInsert(key uint64, f *tt.TT) error {
+//
+// LogInsert runs under a wal.append tracing span, so a traced insert
+// shows how long the buffered append took; with tracing off the span is
+// nil and this costs one context lookup.
+func (w *Writer) LogInsert(ctx context.Context, key uint64, f *tt.TT) error {
+	_, sp := obs.StartSpan(ctx, "wal.append")
+	defer sp.End()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.appendLocked(key, f)
 }
 
-// Commit implements store.Journal; see LogInsert.
-func (w *Writer) Commit() error {
+// Commit implements store.Journal; see LogInsert. It runs under a
+// wal.fsync span: in group-fsync mode the background flusher owns
+// durability and the span records a zero-length wait (mode=group); in
+// every-append mode it measures the request's actual fsync stall.
+func (w *Writer) Commit(ctx context.Context) error {
+	_, sp := obs.StartSpan(ctx, "wal.fsync")
+	defer sp.End()
+	if sp != nil {
+		if w.opts.FsyncEvery > 0 {
+			sp.SetAttr("mode", "group")
+		} else {
+			sp.SetAttr("mode", "every-append")
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -274,35 +292,6 @@ func (w *Writer) Commit() error {
 		return nil
 	}
 	return w.syncLocked()
-}
-
-// LogInsertCtx implements store.CtxJournal: LogInsert under a wal.append
-// tracing span, so a traced insert shows how long the buffered append
-// took. With tracing off the span is nil and this is LogInsert plus a
-// context lookup.
-func (w *Writer) LogInsertCtx(ctx context.Context, key uint64, f *tt.TT) error {
-	_, sp := obs.StartSpan(ctx, "wal.append")
-	err := w.LogInsert(key, f)
-	sp.End()
-	return err
-}
-
-// CommitCtx implements store.CtxJournal: Commit under a wal.fsync span.
-// In group-fsync mode the background flusher owns durability and the
-// span records a zero-length wait (mode=group); in every-append mode it
-// measures the request's actual fsync stall.
-func (w *Writer) CommitCtx(ctx context.Context) error {
-	_, sp := obs.StartSpan(ctx, "wal.fsync")
-	if sp != nil {
-		if w.opts.FsyncEvery > 0 {
-			sp.SetAttr("mode", "group")
-		} else {
-			sp.SetAttr("mode", "every-append")
-		}
-	}
-	err := w.Commit()
-	sp.End()
-	return err
 }
 
 // DurableSize returns the active segment's sequence and the length of

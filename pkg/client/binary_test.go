@@ -15,18 +15,26 @@ import (
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/federation"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/pkg/client"
 )
 
-// newSingleServer is newSingle exposing the URL, so a test can point
-// differently-configured clients at one server.
+// newSingleServer serves arity n alone — a one-arity federation — and
+// exposes the URL, so a test can point differently-configured clients at
+// one server.
 func newSingleServer(t *testing.T, n int) *httptest.Server {
 	t.Helper()
-	svc := service.New(store.New(n, store.Options{Shards: 4}), service.Options{Workers: 2})
-	srv := httptest.NewServer(service.NewHandler(svc))
+	reg, err := federation.New(n, n, federation.Options{
+		Store:   store.Options{Shards: 4},
+		Service: service.Options{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(federation.NewHandler(reg))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -201,8 +201,8 @@ func (c *Client) Map(ctx context.Context, circuit io.Reader, p MapParams) (*api.
 }
 
 // Stats fetches GET /v2/stats. The body shape depends on the server's
-// role (single arity, federated, follower), so it is returned raw for the
-// caller to decode into the matching stats type.
+// role (federated, follower), so it is returned raw for the caller to
+// decode into the matching stats type.
 func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
 	return c.getRawJSON(ctx, "/v2/stats")
 }
@@ -244,9 +244,9 @@ func (c *Client) Healthz(ctx context.Context) (int, json.RawMessage, error) {
 }
 
 // Get is the raw GET escape hatch: one request (with retries) against an
-// arbitrary path, returning status and body. It exists so components that
-// relay /v1 traffic byte-for-byte (the follower proxy) still route every
-// request through this client.
+// arbitrary path, returning status and body, for routes this client has
+// no typed method for (the fallbacks, /metrics, the replication feed) and
+// for probing a server's exact bytes.
 func (c *Client) Get(ctx context.Context, path string) (int, []byte, error) {
 	return c.do(ctx, http.MethodGet, path, "", nil)
 }
@@ -412,7 +412,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // decodeAPIError turns a non-2xx body into an *api.Error when it carries
-// the /v2 envelope, or a plain error otherwise (e.g. a /v1 shim body).
+// the /v2 envelope, or a plain error otherwise (e.g. a proxy's own error
+// page).
 func decodeAPIError(status int, body []byte) error {
 	var env api.ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error != nil {

@@ -1,6 +1,7 @@
 // The pkg/client round-trip suite: the official client against every
-// server role it claims to speak to — a single-arity service, a
-// federated registry, and a replication follower in both -follow-modes —
+// server role it claims to speak to — a single-arity server (a one-arity
+// federation), a federated registry, and a replication follower in both
+// -follow-modes —
 // including mid-batch per-item errors, NDJSON streaming, and streaming
 // resume across a dropped connection.
 package client_test
@@ -22,7 +23,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/npn"
 	"repro/internal/replica"
-	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/internal/wal"
@@ -31,10 +31,7 @@ import (
 
 func newSingle(t *testing.T, n int) *client.Client {
 	t.Helper()
-	svc := service.New(store.New(n, store.Options{Shards: 4}), service.Options{Workers: 2})
-	srv := httptest.NewServer(service.NewHandler(svc))
-	t.Cleanup(srv.Close)
-	return client.New(srv.URL)
+	return client.New(newSingleServer(t, n).URL)
 }
 
 func newFederated(t *testing.T) *client.Client {
@@ -150,18 +147,18 @@ func TestSingleArityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Role != "single" {
+	if spec.Role != "federated" {
 		t.Fatalf("spec role %q", spec.Role)
 	}
 	raw, err := c.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st service.Stats
+	var st federation.Stats
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Arity != 5 || st.Classes == 0 {
+	if st.MinVars != 5 || st.MaxVars != 5 || len(st.PerArity) != 1 || st.PerArity[0].Classes == 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

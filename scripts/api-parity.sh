@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# api-parity.sh — drive the same insert/classify/stats flow through the
-# deprecated /v1 surface and the /v2 surface of a real npnserve process
-# and diff the semantic results, then assert the /v2 contract points the
-# two surfaces intentionally diverge on (per-item errors, JSON 404/405,
-# content-type gate) and smoke the /v2/map and /v2/spec endpoints.
+# api-parity.sh — drive the same insert/classify flow through the two
+# /v2 text transports of a real npnserve process — the buffered JSON
+# batch and the NDJSON stream — and diff the semantic results, then
+# assert the per-item error contract, the JSON 404/405 fallbacks and the
+# content-type gate, and smoke the /v2/map and /v2/spec endpoints.
 #
 # Usage: scripts/api-parity.sh [path-to-npnserve-binary]
 # Requires: curl, jq.
@@ -28,30 +28,32 @@ FNS='{"functions":["1ee1","cafef00dcafef00d","e8","96969696"]}'
 # Output-complemented NPN variants of the inserted functions.
 VARS='{"functions":["e11e","35010ff235010ff2","17","69696969"]}'
 
-# --- The same flow through both surfaces must agree semantically. -----
-# v1 and v2 are driven against the same server sequentially; the second
-# insert of the same functions must be new:false everywhere, so we
-# normalize on (function, class, index) for inserts and the full result
-# row for classifies.
-norm_results='.results | map({function, class, index})'
-V1_INS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v1/insert" -d "$FNS" | jq "$norm_results")
-V2_INS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/insert" -d "$FNS" | jq "$norm_results")
-diff <(echo "$V1_INS") <(echo "$V2_INS") || { echo "api-parity: v1/v2 insert results diverge"; exit 1; }
+# stream POSTs a batch body's functions to an NDJSON endpoint, one per
+# line, and slurps the answer lines into a JSON array.
+stream() {
+  echo "$2" | jq -r '.functions[]' | \
+    curl -sf -X POST -H 'Content-Type: application/x-ndjson' "$BASE$1" --data-binary @- | jq -s '.'
+}
 
-norm_cls='.results | map({function, hit, class, index, rep, witness})'
-V1_CLS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v1/classify" -d "$VARS" | jq "$norm_cls")
-V2_CLS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$VARS" | jq "$norm_cls")
-diff <(echo "$V1_CLS") <(echo "$V2_CLS") || { echo "api-parity: v1/v2 classify results diverge"; exit 1; }
-echo "$V2_CLS" | jq -e 'all(.hit)' >/dev/null || { echo "api-parity: inserted classes did not hit"; exit 1; }
+# --- The same flow through both transports must agree semantically. ---
+# Both are driven against the same server sequentially; the second
+# insert of the same functions must be new:false, so inserts are
+# normalized on (function, class, index). Classifies compare the full
+# result row.
+norm_ins='map({function, class, index})'
+JSON_INS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/insert" -d "$FNS" | jq ".results | $norm_ins")
+NDJSON_INS=$(stream /v2/insert/stream "$FNS" | jq "$norm_ins")
+diff <(echo "$JSON_INS") <(echo "$NDJSON_INS") || { echo "api-parity: JSON/NDJSON insert results diverge"; exit 1; }
+echo "$JSON_INS" | jq -e 'length == 4 and all(.class != null and .index >= 0)' >/dev/null \
+  || { echo "api-parity: inserts not stored: $JSON_INS"; exit 1; }
 
-V1_ST=$(curl -sf "$BASE/v1/stats" | jq '.totals | {classes, inserts, lookups, hits}')
-V2_ST=$(curl -sf "$BASE/v2/stats" | jq '.totals | {classes, inserts, lookups, hits}')
-diff <(echo "$V1_ST") <(echo "$V2_ST") || { echo "api-parity: v1/v2 stats diverge"; exit 1; }
+JSON_CLS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$VARS" | jq '.results')
+NDJSON_CLS=$(stream /v2/classify/stream "$VARS")
+diff <(echo "$JSON_CLS") <(echo "$NDJSON_CLS") || { echo "api-parity: JSON/NDJSON classify results diverge"; exit 1; }
+echo "$JSON_CLS" | jq -e 'all(.hit)' >/dev/null || { echo "api-parity: inserted classes did not hit"; exit 1; }
 
-# --- Intentional divergence: the per-item error contract. -------------
+# --- The per-item error contract. -------------------------------------
 BAD='{"functions":["1ee1","zzzz"]}'
-V1_CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' "$BASE/v1/classify" -d "$BAD")
-[ "$V1_CODE" = "400" ] || { echo "api-parity: v1 whole-batch error returned $V1_CODE, want 400"; exit 1; }
 V2_BAD=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$BAD")
 echo "$V2_BAD" | jq -e '.errors == 1 and .results[0].hit and .results[1].error.code == "bad_hex"' >/dev/null \
   || { echo "api-parity: v2 per-item error contract broken: $V2_BAD"; exit 1; }
@@ -96,7 +98,7 @@ curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$WA
 
 # --- /v2/spec self-describes every headline route. --------------------
 SPEC=$(curl -sf "$BASE/v2/spec")
-for route in /v2/classify /v2/insert /v2/classify/stream /v2/insert/stream /v2/map /v2/compact /v2/stats /v2/spec /v1/classify /healthz; do
+for route in /v2/classify /v2/insert /v2/classify/stream /v2/insert/stream /v2/map /v2/compact /v2/stats /v2/spec /healthz; do
   echo "$SPEC" | jq -e --arg p "$route" '.routes | map(.pattern) | index($p) != null' >/dev/null \
     || { echo "api-parity: spec is missing $route"; exit 1; }
 done
@@ -112,4 +114,4 @@ while read -r method pattern; do
   fi
 done < <(echo "$SPEC" | jq -r '.routes[] | "\(.method) \(.pattern)"')
 
-echo "api-parity: OK (v1/v2 agree; per-item errors, fallbacks, streaming, map and spec verified)"
+echo "api-parity: OK (JSON/NDJSON agree; per-item errors, fallbacks, streaming, map and spec verified)"

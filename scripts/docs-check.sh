@@ -5,9 +5,11 @@
 #
 #   1. Links: every relative markdown link target must exist on disk
 #      (anchors are stripped; http(s) links are not fetched).
-#   2. Flag drift: every flag registered in cmd/npnserve/main.go must be
-#      mentioned in docs/OPERATIONS.md, so adding a server flag without
-#      documenting it fails CI.
+#   2. Flag drift, both ways: every flag registered in
+#      cmd/npnserve/main.go must be mentioned in docs/OPERATIONS.md, so
+#      adding a server flag without documenting it fails CI; and every
+#      row of an OPERATIONS.md flag table (a first cell like `-name`)
+#      must name a registered flag, so a removed flag's row fails too.
 #   3. Metric drift: the docs/OPERATIONS.md metric-family table is diffed
 #      against the families the code actually registers, both ways. This
 #      is delegated to the metricsdrift analyzer in cmd/npnlint so the
@@ -44,6 +46,14 @@ flags=$(grep -oE 'flag\.[A-Za-z0-9]+Var\(&[^,]+, "[a-z-]+"' cmd/npnserve/main.go
 for f in $flags; do
   if ! grep -q -- "-$f" docs/OPERATIONS.md; then
     echo "UNDOCUMENTED  -$f (cmd/npnserve flag missing from docs/OPERATIONS.md)"
+    fail=1
+  fi
+done
+rows=$(grep -oE '^\| `-[a-z-]+`' docs/OPERATIONS.md | sed -E 's/^\| `-([a-z-]+)`$/\1/' | sort -u)
+[ -n "$rows" ] || { echo "no flag rows parsed from docs/OPERATIONS.md"; exit 1; }
+for r in $rows; do
+  if ! grep -qx -- "$r" <<<"$flags"; then
+    echo "STALE  -$r (docs/OPERATIONS.md flag row names no cmd/npnserve flag)"
     fail=1
   fi
 done
