@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -371,74 +372,117 @@ func BenchmarkCutEnumeration(b *testing.B) {
 
 var cutEnumSink int
 
-// BenchmarkLookupCachedVsUncached isolates the representative-profile
-// cache on the hot serve path: single-function Store.Lookup hits against a
-// warm store, with the per-shard profile memo enabled (the default) versus
-// disabled (the rebuild-per-query certification strategy the store served
-// with before caching). Queries are NPN disguises of stored classes, so
-// every lookup pays MSV hashing plus matcher certification; the cached
-// mode builds each rep's profile once and the query's profile once per
-// lookup, the uncached mode rebuilds the rep side per chain member and
-// per output phase.
+// BenchmarkStoreLookup measures single-function Store.Lookup under the
+// shipped full MSV key against a warm store, on three query streams per
+// arity (n6 and n8):
 //
-// Two key configurations are measured: "full" is the paper's complete MSV
-// (hash-dominated, so the cache shows up as a moderate win), and
-// "serving" is store.ServingConfig (the cheap OCV1+OIV key whose longer
-// chains the profile cache is designed to make affordable — the cache is
-// the difference between that config being a win or a loss). Results are
-// recorded in BENCH_lookup.json.
-//
-// The allocation profile this benchmark reports is load-bearing: the hit
-// path carries //npn:noalloc annotations that cmd/npnlint checks against
-// escape analysis, and store.TestNoallocParity pins that annotation set
-// to the same function list the AllocsPerRun gates measure.
-func BenchmarkLookupCachedVsUncached(b *testing.B) {
+//   - hit: NPN disguises of the deduplicated circuit-cut workload (<=512
+//     functions). A warm pass publishes the hints, so a hit costs the
+//     cheap OCV1+OIV hash plus one budgeted match against a memoized
+//     profile; this is the path of //npn:noalloc annotations that
+//     cmd/npnlint checks and store.TestNoallocParity pins.
+//   - miss: uniform random tables, absent from the store: the cheap hash,
+//     a hint probe that finds nothing, and the full MSV hash.
+//   - crafted-miss: the adversarial family f = x0⊕x1⊕h(rest), whose
+//     classes share cheap keys and defeat the matcher's pruning. The store
+//     holds seeded members, each hit once so their hints exist; queries
+//     are further members of other NPN classes. A hint attempt is capped
+//     by the store's node budget and an exhausted one makes the cheap key
+//     ambiguous, so this row bounds the worst case the hints add.
+func BenchmarkStoreLookup(b *testing.B) {
 	for _, n := range []int{6, 8} {
-		fs := circuitWorkload(n)
-		if len(fs) > 512 {
-			fs = fs[:512]
-		}
-		// Disguised queries force real witness searches, not Equal fast paths.
-		queries := make([]*tt.TT, len(fs))
-		for i, f := range fs {
-			tr := npn.Identity(n)
-			tr.Perm[0], tr.Perm[n-1] = uint8(n-1), 0
-			tr.NegMask = 0b0110
-			tr.OutNeg = i%2 == 1
-			queries[i] = tr.Apply(f)
-		}
-		for _, cfg := range []struct {
-			name string
-			c    core.Config
+		stored, disguises, misses := storeLookupWorkloads(n)
+		for _, row := range []struct {
+			name    string
+			fs      []*tt.TT
+			queries []*tt.TT
+			hit     bool
 		}{
-			{"full", core.Config{}},
-			{"serving", store.ServingConfig()},
+			{"hit", stored[0], disguises, true},
+			{"miss", stored[0], misses[0], false},
+			{"crafted-miss", stored[1], misses[1], false},
 		} {
-			for _, disabled := range []bool{true, false} {
-				mode := map[bool]string{true: "uncached", false: "cached"}[disabled]
-				b.Run(fmt.Sprintf("%s-%s-n%d", cfg.name, mode, n), func(b *testing.B) {
-					st := store.New(n, store.Options{Config: cfg.c, DisableProfileCache: disabled})
-					for _, f := range fs {
-						st.Add(f)
-					}
-					// Warm pass so the cached mode measures steady-state hits,
-					// not first-touch profile builds.
-					for _, q := range queries {
-						if _, _, _, _, ok := st.Lookup(q); !ok {
-							b.Fatal("warm lookup missed")
-						}
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, _, _, _, ok := st.Lookup(queries[i%len(queries)]); !ok {
-							b.Fatal("lookup missed")
-						}
-					}
-				})
+			st := store.New(n, store.Options{})
+			for _, f := range row.fs {
+				st.Add(f)
 			}
+			// Warm pass: one disguise hit per stored class builds its
+			// profile and publishes its hint, as serving traffic would.
+			for i, f := range row.fs {
+				if _, _, _, _, ok := st.Lookup(disguise(n, i, f)); !ok {
+					b.Fatal("warm lookup missed")
+				}
+			}
+			// One pass over the queries settles which cheap keys an
+			// exhausted hint attempt turned ambiguous.
+			for _, q := range row.queries {
+				st.Lookup(q)
+			}
+			b.Run(fmt.Sprintf("%s-n%d", row.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, _, ok := st.Lookup(row.queries[i%len(row.queries)]); ok != row.hit {
+						b.Fatalf("lookup hit=%v, want %v", ok, row.hit)
+					}
+				}
+			})
 		}
 	}
+}
+
+// disguise returns a fixed NPN disguise of f that moves variables and both
+// output phases, so certification needs a real witness search.
+func disguise(n, i int, f *tt.TT) *tt.TT {
+	tr := npn.Identity(n)
+	tr.Perm[0], tr.Perm[n-1] = uint8(n-1), 0
+	tr.NegMask = 0b0110
+	tr.OutNeg = i%2 == 1
+	return tr.Apply(f)
+}
+
+// storeLookupWorkloads returns BenchmarkStoreLookup's n-variable inputs:
+// the stored circuit and crafted functions, disguises of the circuit
+// ones, and the random and crafted misses.
+func storeLookupWorkloads(n int) (stored [2][]*tt.TT, disguises []*tt.TT, misses [2][]*tt.TT) {
+	stored[0] = circuitWorkload(n)
+	if len(stored[0]) > 512 {
+		stored[0] = stored[0][:512]
+	}
+	for i, f := range stored[0] {
+		disguises = append(disguises, disguise(n, i, f))
+	}
+	rng := rand.New(rand.NewSource(int64(1600 + n)))
+	for len(misses[0]) < 512 {
+		misses[0] = append(misses[0], tt.Random(n, rng))
+	}
+	crafted := func() *tt.TT {
+		h := tt.Random(n-2, rng)
+		return tt.FromFunc(n, func(x int) bool { return (x&1 == 1) != (x>>1&1 == 1) != h.Get(x>>2) })
+	}
+	// At n = 6 the family has only a few hundred NPN classes: store 64 of
+	// them and miss on others, told apart by exact canonical form. At
+	// n = 8 two random members are inequivalent.
+	keep := 256
+	if n <= npn.MaxExactVars {
+		keep = 64
+	}
+	seen := map[uint64]bool{}
+	for k := 0; k < 4000 && len(misses[1]) < 512; k++ {
+		f := crafted()
+		if n <= npn.MaxExactVars {
+			c := npn.ExactCanon(f).Word()
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+		}
+		if len(stored[1]) < keep {
+			stored[1] = append(stored[1], f)
+		} else {
+			misses[1] = append(misses[1], f)
+		}
+	}
+	return stored, disguises, misses
 }
 
 // BenchmarkTransportClassify compares the two /v2/classify transports end
@@ -458,7 +502,6 @@ func BenchmarkTransportClassify(b *testing.B) {
 			fs = fs[:batch]
 		}
 		reg, err := federation.New(n, n, federation.Options{
-			Store:   store.Options{Config: store.ServingConfig()},
 			Service: service.Options{Workers: 2},
 		})
 		if err != nil {
@@ -476,11 +519,7 @@ func BenchmarkTransportClassify(b *testing.B) {
 		queries := make([]*tt.TT, len(fs))
 		hexes := make([]string, len(fs))
 		for i, f := range fs {
-			tr := npn.Identity(n)
-			tr.Perm[0], tr.Perm[n-1] = uint8(n-1), 0
-			tr.NegMask = 0b0110
-			tr.OutNeg = i%2 == 1
-			queries[i] = tr.Apply(f)
+			queries[i] = disguise(n, i, f)
 			hexes[i] = queries[i].Hex()
 		}
 		srv := httptest.NewServer(federation.NewHandler(reg))

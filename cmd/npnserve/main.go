@@ -6,7 +6,7 @@
 // Usage:
 //
 //	npnserve [-arities 4-10] [-addr :8080] [-shards 16] [-workers 0]
-//	         [-cache 4096] [-config full|serving] [-max-body N]
+//	         [-cache 4096] [-config full] [-max-body N]
 //	         [-data dir] [-fsync-interval 100ms] [-segment-bytes N]
 //	         [-compact-every 0] [-follow URL] [-follow-mode proxy|local]
 //	         [-follow-interval 200ms] [-stale-after 0]
@@ -47,9 +47,9 @@
 // bytes.
 //
 // -arities accepts a single arity ("6") or an inclusive range ("4-10");
-// per-arity stores are constructed lazily on first use. -config selects
-// the MSV key: "full" (the paper's complete vector set) or "serving"
-// (cheap OCV1+OIV keys for the profile-cached serve path).
+// per-arity stores are constructed lazily on first use. -config names
+// the MSV key and accepts only "full", the paper's complete vector set;
+// the store's cheap OCV1+OIV hint index needs no flag.
 //
 // With -data the server is durable: each arity keeps a write-ahead log
 // plus snapshot under <data>/n<arity>/ (internal/wal), every certified
@@ -187,7 +187,7 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", store.DefaultShards, "per-arity store lock shards (rounded up to a power of two)")
 	flag.IntVar(&cfg.workers, "workers", 0, "per-arity batch worker pool width (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.cache, "cache", service.DefaultCacheSize, "per-arity LRU result cache capacity (negative disables)")
-	flag.StringVar(&cfg.keyConfig, "config", "full", "MSV key configuration: \"full\" or \"serving\" (cheap OCV1+OIV keys)")
+	flag.StringVar(&cfg.keyConfig, "config", "full", "MSV key configuration: only \"full\" (the paper's complete vector set)")
 	flag.Int64Var(&cfg.maxBody, "max-body", api.DefaultMaxBody, "byte bound on /v2/map circuit uploads and NDJSON stream bodies")
 	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory: per-arity WAL + snapshot under n<arity>/ (empty = memory only)")
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "WAL group-fsync interval; 0 fsyncs every append (with -data)")
@@ -477,15 +477,14 @@ func parseArities(s string) (lo, hi int, err error) {
 }
 
 // parseKeyConfig maps the -config value to an MSV configuration: the
-// zero core.Config means the store's default full vector set.
+// zero core.Config means the store's default full vector set, the only
+// one served.
 func parseKeyConfig(s string) (core.Config, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "full":
 		return core.Config{}, nil
-	case "serving":
-		return store.ServingConfig(), nil
 	}
-	return core.Config{}, fmt.Errorf("-config %q: want \"full\" or \"serving\"", s)
+	return core.Config{}, fmt.Errorf("-config %q: want \"full\"", s)
 }
 
 // buildRegistry wires the federated registry from the flag configuration.

@@ -19,7 +19,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/npn"
 	"repro/internal/replica"
-	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/pkg/client"
 )
@@ -518,41 +517,30 @@ func TestFollowerServerEndToEnd(t *testing.T) {
 
 // TestParseKeyConfig covers the -config values and rejection.
 func TestParseKeyConfig(t *testing.T) {
-	if c, err := parseKeyConfig("full"); err != nil || c != (core.Config{}) {
-		t.Fatalf("full -> %+v, %v", c, err)
+	for _, v := range []string{"full", " Full ", ""} {
+		if c, err := parseKeyConfig(v); err != nil || c != (core.Config{}) {
+			t.Fatalf("%q -> %+v, %v", v, c, err)
+		}
 	}
-	if c, err := parseKeyConfig(" Serving "); err != nil || c != store.ServingConfig() {
-		t.Fatalf("serving -> %+v, %v", c, err)
-	}
-	if _, err := parseKeyConfig("fast"); err == nil {
-		t.Fatal("bogus -config accepted")
+	for _, v := range []string{"serving", "fast"} {
+		if _, err := parseKeyConfig(v); err == nil {
+			t.Fatalf("-config %q accepted", v)
+		}
 	}
 }
 
-// TestServingConfigFlag boots the flag-configured stack with -config
-// serving and verifies the weaker key still serves certified answers.
+// TestServingConfigFlag: the cheap "serving" key is gone — its fast hits
+// now come from the store's hint index under the full key — so a command
+// line that still asks for it must fail at startup, on the primary and on
+// a follower alike, rather than silently serve a different key.
 func TestServingConfigFlag(t *testing.T) {
-	ctx := context.Background()
-	c, reg := startServer(t, config{arities: "4-6", shards: 4, cache: 16, keyConfig: "serving"})
-	rng := rand.New(rand.NewSource(702))
-	f := tt.Random(5, rng)
-	if _, err := c.Insert(ctx, []string{f.Hex()}); err != nil {
-		t.Fatal(err)
+	if _, err := buildRegistry(config{arities: "4-6", shards: 4, cache: 16, keyConfig: "serving"}); err == nil ||
+		!strings.Contains(err.Error(), "serving") {
+		t.Fatalf("primary with -config serving: err %v, want a refusal naming the value", err)
 	}
-	variant := randomTransformed(rng, f)
-	cls, err := c.Classify(ctx, []string{variant.Hex()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cls.Results[0].Hit {
-		t.Fatal("serving-config store missed an NPN variant")
-	}
-	svc, err := reg.Service(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.Store().Config() != store.ServingConfig() {
-		t.Fatalf("store config %+v, want ServingConfig", svc.Store().Config())
+	if _, err := buildFollower(config{arities: "4-6", shards: 4, cache: 16, keyConfig: "serving", follow: "http://127.0.0.1:1"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "serving") {
+		t.Fatalf("follower with -config serving: err %v, want a refusal naming the value", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sig"
 	"repro/internal/spectra"
-	"repro/internal/store"
 	"repro/internal/tt"
 )
 
@@ -26,10 +25,10 @@ import (
 var pinnedKeys = map[string][2]string{
 	"all":           {"a09631d3abb1e87600db18425879ffef607221094a2ec050bd0c6f1f8eaa28d9", "108c22d27712dcdc3ca599b6dec3dacd75221985e91f224b89f2be163939f086"},
 	"all-fast":      {"a09631d3abb1e87600db18425879ffef607221094a2ec050bd0c6f1f8eaa28d9", "108c22d27712dcdc3ca599b6dec3dacd75221985e91f224b89f2be163939f086"},
+	"hint":          {"0a77182be04754d16d6ef1841bec988a0fcc9122a3141f924576199367c6551b", "6a76ad568de944a197624910457f959b879b7eb98da1849acaaa05d24e77797a"},
 	"combined":      {"c004fd407de720dc1febcff9155da78c86f6ec843ba6998c32fe4459ba91e9df", "6e6c20e986a6f1df9b73151d2a411ecdf292bed97fae89ab7998b266cc4c61c0"},
 	"combined-fast": {"c004fd407de720dc1febcff9155da78c86f6ec843ba6998c32fe4459ba91e9df", "6e6c20e986a6f1df9b73151d2a411ecdf292bed97fae89ab7998b266cc4c61c0"},
 	"ocv3":          {"819d66f455d147e39811958700e4c916c86bbd7c0de9a373e8b274257f09d259", "d8a1af9590d909b761f09a9c653b04aa33bc565f99d905754c7204ab7c6baa18"},
-	"serving":       {"0a77182be04754d16d6ef1841bec988a0fcc9122a3141f924576199367c6551b", "6a76ad568de944a197624910457f959b879b7eb98da1849acaaa05d24e77797a"},
 	"spectral":      {"2e6f6f3123053cfb74ede48bd36a6a6b23f3bff24d268804abb6d39e48bf09c9", "41521d48cda7ebdaaa07bbebd266869f6e20dab3769f743becc2cf10641c613c"},
 	"stage0":        {"d38fee19954cb5f1d3e33f37cab307e31c7fee585fb734d3ae0ae1b089d6ac72", "4e036d918a8b66c1391f44b2c943b3ce22a0c15b3a524ea537dd598016777c86"},
 	"stage1":        {"a6022eca73447f073a27d708326212370b44066b526661faf493a117fe65dbb5", "3defb3a8c1ec87a9974d62c295882e4d9195b09744e4350db1cfab13bd2c8636"},
@@ -45,8 +44,8 @@ type keyConfig struct {
 
 // keyConfigs lists the MSV configurations the repository classifies with:
 // the paper's full MSV with pair-enumerated and with spectral OSDV (the
-// store default), the serving key, the extensions, and every DefaultStages
-// stage.
+// store default), the store's OCV1+OIV hint key, the extensions, and every
+// DefaultStages stage.
 func keyConfigs() []keyConfig {
 	all := core.ConfigAll()
 	fast := all
@@ -59,7 +58,7 @@ func keyConfigs() []keyConfig {
 	configs := []keyConfig{
 		{"all", all},
 		{"all-fast", fast},
-		{"serving", store.ServingConfig()},
+		{"hint", core.Config{OCV1: true, OIV: true}},
 		{"combined", combined},
 		{"combined-fast", fastCombined},
 		{"spectral", spectral},

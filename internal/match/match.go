@@ -16,6 +16,8 @@
 package match
 
 import (
+	"math"
+
 	"repro/internal/npn"
 	"repro/internal/sig"
 	"repro/internal/tt"
@@ -92,6 +94,10 @@ type Matcher struct {
 	applyBuf  *tt.TT
 	qprof     profile
 	qwrap     Profile
+
+	// Search-node accounting of the current match: nodes visited across
+	// both output phases, and the cap past which the search gives up.
+	nodes, budget int
 }
 
 // NewMatcher returns a matcher for n-variable functions.
@@ -177,20 +183,49 @@ func (rp *RepProfile) Fn() *tt.TT { return rp.pos.f }
 // query profile, built once per query and reused across a collision chain.
 // It returns a witness τ with τ(rep) = g on success.
 func (m *Matcher) MatchProfiled(rp *RepProfile, q *Profile) (npn.Transform, bool) {
+	tr, v := m.MatchBudget(rp, q, math.MaxInt)
+	return tr, v == Matched
+}
+
+// Verdict is the outcome of a budgeted match.
+type Verdict uint8
+
+const (
+	// Refuted: the search completed without a witness; not equivalent.
+	Refuted Verdict = iota
+	// Matched: a witness was found and verified; equivalent.
+	Matched
+	// Undecided: the search ran out of budget before deciding.
+	Undecided
+)
+
+// MatchBudget is MatchProfiled with the backtracking search capped at
+// budget nodes (calls of the search step, the final verification
+// included) across both output phases. A direct hit visits n+1 nodes; a
+// search that would need more than budget stops there and reports
+// Undecided, so a caller can bound what one attempt costs and fall back to
+// a path that does not need it. Matched and Refuted are exact.
+//
+//npn:noalloc
+func (m *Matcher) MatchBudget(rp *RepProfile, q *Profile, budget int) (npn.Transform, Verdict) {
 	if rp.pos.n != m.n || q.p.n != m.n {
 		panic("match: arity mismatch")
 	}
+	m.nodes, m.budget = 0, budget
 	if rp.ones == q.ones {
 		if tr, ok := m.matchProfiles(rp.pos, q.p, false); ok {
-			return tr, true
+			return tr, Matched
 		}
 	}
-	if rp.size-rp.ones == q.ones {
+	if rp.size-rp.ones == q.ones && m.nodes <= m.budget {
 		if tr, ok := m.matchProfiles(rp.neg, q.p, true); ok {
-			return tr, true
+			return tr, Matched
 		}
 	}
-	return npn.Transform{}, false
+	if m.nodes > m.budget {
+		return npn.Transform{}, Undecided
+	}
+	return npn.Transform{}, Refuted
 }
 
 // Equivalent reports whether f and g are NPN equivalent and, if so, returns
@@ -206,6 +241,7 @@ func (m *Matcher) Equivalent(f, g *tt.TT) (npn.Transform, bool) {
 	if onesF != onesG && size-onesF != onesG {
 		return npn.Transform{}, false
 	}
+	m.nodes, m.budget = 0, math.MaxInt
 	var pg *profile // g's profile serves both phases; built at most once
 	if onesF == onesG {
 		pg = newProfile(g, m.eng)
@@ -244,8 +280,13 @@ func (m *Matcher) matchProfiles(pf, pg *profile, outNeg bool) (npn.Transform, bo
 // search backtracks over (variable, phase) assignments for position i, with
 // used the bitmask of f-variables already taken. The assignment under
 // construction lives in the matcher's scratch arrays, so a search allocates
-// nothing.
+// nothing. Every call is one node of the budget; past it the search
+// unwinds without a witness.
 func (m *Matcher) search(pf, pg *profile, i int, used uint32) bool {
+	m.nodes++
+	if m.nodes > m.budget {
+		return false
+	}
 	n := m.n
 	if i == n {
 		// Final exact verification keeps the matcher sound even if a
@@ -301,6 +342,9 @@ func (m *Matcher) search(pf, pg *profile, i int, used uint32) bool {
 			m.assignVar[i], m.assignNeg[i] = j, b
 			if m.search(pf, pg, i+1, used|1<<uint(j)) {
 				return true
+			}
+			if m.nodes > m.budget {
+				return false
 			}
 		}
 	}

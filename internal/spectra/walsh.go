@@ -50,19 +50,6 @@ func Spectrum(f *tt.TT) []int64 {
 	return a
 }
 
-// IndicatorSpectrum returns the Walsh transform of the 0/1 indicator of the
-// given minterm set (bit x of set selects minterm x).
-func IndicatorSpectrum(set *tt.TT) []int64 {
-	a := make([]int64, set.NumBits())
-	for x := range a {
-		if set.Get(x) {
-			a[x] = 1
-		}
-	}
-	WHT(a)
-	return a
-}
-
 // WeightMoments groups squared spectral coefficients by the Hamming weight
 // of the frequency index: M[w] = Σ_{wt(s)=w} S[s]². The result is invariant
 // under input permutation and input negation, and under output negation when

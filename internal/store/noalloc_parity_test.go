@@ -15,8 +15,8 @@ import (
 
 // noallocGated is the canonical list of //npn:noalloc-annotated
 // functions: the zero-alloc store path behind a cached Store.Lookup hit
-// and an Add of a stored class, under both shipped MSV configurations
-// (ServingConfig and the full MSV). The same list is guarded twice — dynamically by the
+// and an Add of a stored class, on the hint route and the full-key route
+// alike. The same list is guarded twice — dynamically by the
 // testing.AllocsPerRun gates (TestLookupHitAllocs here drives the whole
 // chain; sig's TestVectorAllocs and the api alloc gates cover their pieces
 // directly) and
@@ -30,6 +30,7 @@ var noallocGated = []string{
 	"internal/core.(*Classifier).Hash",
 	"internal/core.(*Classifier).emit",
 	"internal/core.(*Classifier).measure",
+	"internal/match.(*Matcher).MatchBudget",
 	"internal/match.(*Matcher).QueryProfile",
 	"internal/npn.(Transform).ApplyInto",
 	"internal/service.(*lruCache).getBytes",
@@ -41,6 +42,7 @@ var noallocGated = []string{
 	"internal/sig.(*Engine).pointPass",
 	"internal/store.(*Store).LookupCtx",
 	"internal/store.(*Store).certifyChain",
+	"internal/store.(*Store).probeHint",
 	"internal/store.(*shard).snapshot",
 }
 

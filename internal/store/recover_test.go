@@ -19,7 +19,7 @@ import (
 // the exact identity a recovery must reproduce.
 func classSet(s *Store) []string {
 	var out []string
-	for _, f := range s.Snapshot() {
+	for _, f := range s.allReps() {
 		out = append(out, f.Hex())
 	}
 	sort.Strings(out)
@@ -87,7 +87,7 @@ func TestRecoverKillDuringInserts(t *testing.T) {
 	}
 	// The recovered store still serves: variants of recovered classes hit.
 	rng := rand.New(rand.NewSource(9))
-	for _, f := range r.Snapshot()[:10] {
+	for _, f := range r.allReps()[:10] {
 		if _, _, _, _, ok := r.Lookup(npn.RandomTransform(n, rng).Apply(f)); !ok {
 			t.Fatal("recovered store misses a variant of its own class")
 		}
@@ -136,7 +136,7 @@ func TestRecoverLosesOnlyUnsyncedTail(t *testing.T) {
 	if r.Size() == 0 || r.Size() > s.Size() {
 		t.Fatalf("recovered %d classes from a store of %d", r.Size(), s.Size())
 	}
-	for _, f := range r.Snapshot() {
+	for _, f := range r.allReps() {
 		if !inserted[f.Hex()] {
 			t.Fatalf("recovery invented class %s", f.Hex())
 		}
@@ -165,7 +165,7 @@ func TestRecoverConfigMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, w2, err := Recover(dir, n, Options{Config: ServingConfig()}, wal.Options{})
+	r, w2, err := Recover(dir, n, Options{Config: hintConfig}, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,12 @@
 //
 // The signature engines (core.Classifier, match.Matcher) reuse scratch
 // buffers and must not be shared between goroutines; the store keeps a
-// sync.Pool of engine pairs so concurrent callers each borrow a private
-// pair for the duration of one operation. All heavy work — MSV hashing and
+// sync.Pool of engine sets so concurrent callers each borrow a private
+// set for the duration of one operation. All heavy work — MSV hashing and
 // exact matching — runs outside the shard locks: locks are held only to
-// read or append a chain slice. Representatives are cloned on insert and
-// never mutated, so a chain header copied under RLock stays valid after
-// the lock is released.
+// read or append a chain slice or a hint. Representatives are cloned on
+// insert and never mutated, so a chain header copied under RLock stays
+// valid after the lock is released.
 //
 // Certification is profile-cached: each shard keeps a map of memoized
 // match.RepProfile values parallel to its chains, guarded by the same
@@ -29,14 +29,29 @@
 // the whole collision chain and both output phases. Profiles are keyed by
 // (class key, chain index) and representatives are immutable and never
 // removed, so a memoized profile can never go stale; chain growth only
-// appends fresh slots. Options.DisableProfileCache restores the original
-// rebuild-per-query path for comparison.
+// appends fresh slots.
+//
+// In front of the full-MSV key sits a hint index, the paper's staged
+// refinement (§IV-B) applied to the store: each shard maps the cheap
+// OCV1+OIV hash of every profiled class to that class's identity and
+// memoized profile. Lookup and Add hash the cheap stage first; when it
+// holds a live hint, one node-budgeted match against the hinted profile
+// certifies the hit and the full MSV is never computed. Anything
+// else — no hint, a refutation, an exhausted budget, a cheap key shared by
+// two profiled classes — falls through to the full-key path, which then
+// publishes the hint. A hint hit returns the very (key, index) the full
+// path would: NPN-equivalent functions have equal full MSVs and the
+// members of one chain are pairwise inequivalent. Class identities, WAL
+// records and the configuration fingerprint are therefore independent of
+// the hints, which live only in memory.
 //
 // Durability is layered on through two hooks. A Journal (internal/wal's
 // Writer in production) receives every certified new-class insert under
 // the shard write lock, before the class is published — write-ahead
-// ordering, so a crash can lose an unacknowledged insert but never hold a
-// served class that was not logged. Recover rebuilds a store from a WAL
+// ordering, so a recovered store never holds a class that was not logged.
+// Whether an acknowledged insert survives a crash is up to the journal's
+// Commit: a sync-every-append writer fsyncs there, a group-commit writer
+// returns before its next flush. Recover rebuilds a store from a WAL
 // directory: the base snapshot is re-added in parallel, then the log is
 // replayed — trusting each record's logged class key when the segment was
 // written under the same MSV configuration (skipping signature hashing
@@ -46,8 +61,6 @@ package store
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -57,22 +70,23 @@ import (
 	"repro/internal/npn"
 	"repro/internal/obs"
 	"repro/internal/tt"
-	"repro/internal/ttio"
 )
 
 // DefaultShards is the shard count used when Options.Shards is zero.
 const DefaultShards = 16
 
-// ServingConfig returns the MSV selection tuned for the online serve
-// path: only the cheap vectors (OCV1 + OIV), so the per-query key costs a
-// fraction of the paper's full configuration. The weaker key collides
-// more often and grows longer chains, but chain certification is exactly
-// what the representative-profile cache makes cheap — the trade the cache
-// exists to enable. Correctness is unaffected: membership is always
-// matcher-certified.
-func ServingConfig() core.Config {
-	return core.Config{OCV1: true, OIV: true}
-}
+// hintConfig selects the hint index's cheap key: the paper's two cheapest
+// vectors, which alone separate all but a handful of the circuit corpus's
+// classes at n = 6..8 for a tenth of the full MSV's cost or less.
+var hintConfig = core.Config{OCV1: true, OIV: true}
+
+// hintBudget caps the search nodes of one hint certification. A disguise
+// of a circuit-corpus class is decided in n+1 nodes at the median and at
+// most 36 at p99.9, while the crafted family x0⊕x1⊕h(x2..) needs about
+// 900 at the median and up to ~55k. An attempt that runs out makes its
+// cheap key ambiguous, so such a family pays the budget once per cheap
+// key and then goes straight to the full MSV.
+const hintBudget = 256
 
 // Options configures a Store.
 type Options struct {
@@ -82,13 +96,10 @@ type Options struct {
 	// Config selects the signature vectors of the MSV key. The zero value
 	// means the paper's full configuration (ConfigAll + FastOSDV). Weaker
 	// configurations collide more often and grow longer chains; correctness
-	// is unaffected because membership is always matcher-certified.
+	// is unaffected because membership is always matcher-certified. Tests
+	// use a weak key to force collision chains at small arities, where the
+	// full MSV is exact.
 	Config core.Config
-	// DisableProfileCache turns off the per-shard memo of representative
-	// profiles: every Lookup/Add rebuilds both sides' signature profiles
-	// per chain member, as the store did before caching. Useful for
-	// benchmarking the cache and for memory-constrained deployments.
-	DisableProfileCache bool
 	// ReadOnly refuses every Add: the public insert path returns a
 	// refusal (index -1) without touching the store. Replication followers
 	// run read-only stores — classes arrive only through the replicated
@@ -110,10 +121,11 @@ type Journal interface {
 	Commit(ctx context.Context) error
 }
 
-// engines is one borrowed pair of stateful signature engines.
+// engines is one borrowed set of stateful signature engines.
 type engines struct {
-	cls *core.Classifier
-	m   *match.Matcher
+	cls   *core.Classifier // the class key (Options.Config)
+	cheap *core.Classifier // the hint key (hintConfig)
+	m     *match.Matcher
 }
 
 // chain is one key's collision chain: the certified representatives and
@@ -126,24 +138,52 @@ type chain struct {
 	profs []*match.RepProfile
 }
 
-// shard is one lock domain: the chain-and-profile map for the keys that
-// hash into it, guarded by one RWMutex.
+// hint is one entry of a shard's hint index: the identity, representative
+// and memoized profile of the profiled class seen under a cheap key. The
+// zero hint (prof nil) is a tombstone: the cheap key is ambiguous and is
+// never probed again.
+type hint struct {
+	key   uint64
+	index int
+	rep   *tt.TT
+	prof  *match.RepProfile
+}
+
+// hintOutcome is what a hint probe found; the store.lookup and store.add
+// spans record it as their "hint" attribute.
+type hintOutcome uint8
+
+const (
+	hintNone      hintOutcome = iota // no profiled class under the cheap key yet
+	hintAmbiguous                    // a tombstone: the full path decides
+	hintRefuted                      // the hinted class is not f's
+	hintExhausted                    // the match ran out of budget; now ambiguous
+	hintHit                          // certified: the hinted class is f's
+)
+
+var hintOutcomeNames = [...]string{"none", "ambiguous", "refuted", "exhausted", "hit"}
+
+func (o hintOutcome) String() string { return hintOutcomeNames[o] }
+
+// shard is one lock domain, guarded by one RWMutex: the chain-and-profile
+// map for the class keys that hash into it, and the hint index for the
+// cheap keys that do.
 type shard struct {
 	mu     sync.RWMutex
 	chains map[uint64]*chain
+	hints  map[uint64]hint
 }
 
 // Store is a sharded NPN class store for functions of a fixed arity. All
 // methods are safe for concurrent use.
 type Store struct {
-	n         int
-	cfg       core.Config
-	fp        uint64 // configFingerprint(cfg), the segment meta word
-	mask      uint64
-	shards    []shard
-	pool      sync.Pool
-	noProfile bool
-	readOnly  bool
+	n        int
+	cfg      core.Config
+	fp       uint64 // configFingerprint(cfg), the segment meta word
+	mask     uint64
+	shards   []shard
+	pool     sync.Pool
+	readOnly bool
 
 	// journal, when set, is the write-ahead hook for new-class inserts.
 	// Written once by SetJournal before concurrent use, read by Add.
@@ -151,7 +191,8 @@ type Store struct {
 	journalErrs atomic.Int64
 
 	// Profile-cache counters: a hit reuses a memoized representative
-	// profile, a miss builds one, entries counts memoized profiles.
+	// profile (a hint attempt included), a miss builds one, entries counts
+	// memoized profiles.
 	profHits    atomic.Int64
 	profMisses  atomic.Int64
 	profEntries atomic.Int64
@@ -173,12 +214,13 @@ func New(n int, o Options) *Store {
 		size <<= 1
 	}
 	s := &Store{n: n, cfg: cfg, fp: configFingerprint(cfg), mask: uint64(size - 1),
-		shards: make([]shard, size), noProfile: o.DisableProfileCache, readOnly: o.ReadOnly}
+		shards: make([]shard, size), readOnly: o.ReadOnly}
 	for i := range s.shards {
 		s.shards[i].chains = make(map[uint64]*chain)
+		s.shards[i].hints = make(map[uint64]hint)
 	}
 	s.pool.New = func() any {
-		return &engines{cls: core.New(n, cfg), m: match.NewMatcher(n)}
+		return &engines{cls: core.New(n, cfg), cheap: core.New(n, hintConfig), m: match.NewMatcher(n)}
 	}
 	return s
 }
@@ -210,7 +252,7 @@ func (s *Store) SetJournal(j Journal) { s.journal = j }
 // failed to log them. Always zero without a journal.
 func (s *Store) JournalErrors() int64 { return s.journalErrs.Load() }
 
-// borrow gets a private engine pair; release returns it to the pool.
+// borrow gets a private engine set; release returns it to the pool.
 func (s *Store) borrow() *engines   { return s.pool.Get().(*engines) }
 func (s *Store) release(e *engines) { s.pool.Put(e) }
 
@@ -218,9 +260,9 @@ func (s *Store) release(e *engines) { s.pool.Put(e) }
 func (s *Store) shardFor(key uint64) *shard { return &s.shards[key&s.mask] }
 
 // ProfileCacheStats returns the representative-profile cache counters:
-// hits (queries served from a memoized profile), misses (profiles built on
-// demand) and entries (profiles currently memoized). All zero when the
-// cache is disabled.
+// hits (matches against a memoized profile, hint attempts included),
+// misses (profiles built on demand) and entries (profiles currently
+// memoized).
 func (s *Store) ProfileCacheStats() (hits, misses, entries int64) {
 	return s.profHits.Load(), s.profMisses.Load(), s.profEntries.Load()
 }
@@ -265,17 +307,18 @@ func (s *Store) publishProfile(sh *shard, key uint64, i int, rp *match.RepProfil
 	return rp
 }
 
-// certifyChain scans the snapshotted chain for a member NPN-equivalent to
-// f, returning its index and a witness τ with τ(reps[i]) = f. It is the
-// shared certification core of Add and Lookup: with the profile cache
-// enabled it builds f's query profile once and matches it against each
-// member's memoized profile (building and publishing missing ones);
-// disabled, it falls back to the rebuild-per-query Equivalent path.
-// A traced context records the chain walk as a store.certify span with
-// the chain length and profile-cache outcome.
+// certifyChain scans the snapshotted chain from member from onward for a
+// member NPN-equivalent to f, returning its index, its memoized profile
+// and a witness τ with τ(reps[i]) = f. It is the shared certification core
+// of Add and Lookup: it matches f's query profile q against each member's
+// memoized profile, building and publishing missing ones. q may be nil; it
+// is then built on the first member whose satisfy count is compatible, so
+// a count-incompatible miss never pays for it. A traced context records
+// the chain walk as a store.certify span with the chain length and
+// profile-cache outcome.
 //
 //npn:noalloc
-func (s *Store) certifyChain(ctx context.Context, sh *shard, key uint64, reps []*tt.TT, profs []*match.RepProfile, f *tt.TT, e *engines) (int, npn.Transform, bool) {
+func (s *Store) certifyChain(ctx context.Context, sh *shard, key uint64, reps []*tt.TT, profs []*match.RepProfile, from int, f *tt.TT, q *match.Profile, e *engines) (int, *match.RepProfile, npn.Transform, bool) {
 	var pHits, pMisses int64
 	if _, sp := obs.StartSpan(ctx, "store.certify"); sp != nil {
 		defer func() {
@@ -285,20 +328,9 @@ func (s *Store) certifyChain(ctx context.Context, sh *shard, key uint64, reps []
 			sp.End()
 		}()
 	}
-	if s.noProfile {
-		for i, rep := range reps {
-			if tr, eq := e.m.Equivalent(rep, f); eq {
-				return i, tr, true
-			}
-		}
-		return -1, npn.Transform{}, false
-	}
-	// Satisfy-count gate first, so a count-incompatible miss never pays
-	// for a profile; the query profile is built on the first candidate
-	// that survives and then reused for the rest of the chain.
 	ones, size := f.CountOnes(), f.NumBits()
-	var q *match.Profile
-	for i, rep := range reps {
+	for i := from; i < len(reps); i++ {
+		rep := reps[i]
 		if ro := rep.CountOnes(); ro != ones && size-ro != ones {
 			continue
 		}
@@ -320,10 +352,67 @@ func (s *Store) certifyChain(ctx context.Context, sh *shard, key uint64, reps []
 			rp = s.publishProfile(sh, key, i, e.m.RepProfile(rep))
 		}
 		if tr, eq := e.m.MatchProfiled(rp, q); eq {
-			return i, tr, true
+			return i, rp, tr, true
 		}
 	}
-	return -1, npn.Transform{}, false
+	return -1, nil, npn.Transform{}, false
+}
+
+// probeHint tries the hint index for f, whose cheap key is cheap. On
+// hintHit, h names f's class and tr is a witness with τ(h.rep) = f. Any
+// other outcome leaves the decision to the full-key path; q is f's query
+// profile when the probe built one, for that path to reuse. An attempt
+// that exhausts hintBudget turns the cheap key into a tombstone; one
+// refuted within budget leaves the hint alone, so a random function that
+// happens to share a stored class's cheap key cannot turn off that
+// class's fast path.
+//
+//npn:noalloc
+func (s *Store) probeHint(cheap uint64, f *tt.TT, e *engines) (h hint, tr npn.Transform, q *match.Profile, out hintOutcome) {
+	sh := s.shardFor(cheap)
+	sh.mu.RLock()
+	h, ok := sh.hints[cheap]
+	sh.mu.RUnlock()
+	switch {
+	case !ok:
+		return h, tr, nil, hintNone
+	case h.prof == nil:
+		return h, tr, nil, hintAmbiguous
+	}
+	s.profHits.Add(1)
+	q = e.m.QueryProfile(f)
+	tr, v := e.m.MatchBudget(h.prof, q, hintBudget)
+	switch v {
+	case match.Matched:
+		return h, tr, q, hintHit
+	case match.Undecided:
+		sh.mu.Lock()
+		sh.hints[cheap] = hint{}
+		sh.mu.Unlock()
+		return h, tr, q, hintExhausted
+	}
+	return h, tr, q, hintRefuted
+}
+
+// noteHit records a certified full-path hit on class h under cheap key
+// cheap, given what the probe before it found. The first profiled class
+// seen under a cheap key becomes its hint; a second one makes the key
+// ambiguous for good. Outcomes that already settled the key (a tombstone)
+// take no lock.
+func (s *Store) noteHit(cheap uint64, out hintOutcome, h hint) {
+	if out != hintNone && out != hintRefuted {
+		return
+	}
+	sh := s.shardFor(cheap)
+	sh.mu.Lock()
+	old, ok := sh.hints[cheap]
+	switch {
+	case !ok:
+		sh.hints[cheap] = h
+	case old.prof != nil && (old.key != h.key || old.index != h.index):
+		sh.hints[cheap] = hint{}
+	}
+	sh.mu.Unlock()
 }
 
 // Add inserts f's class if absent, returning the class key, the position
@@ -333,7 +422,9 @@ func (s *Store) certifyChain(ctx context.Context, sh *shard, key uint64, reps []
 // new chained class rather than silently merging.
 //
 // With a journal installed, a new class is logged before it is published
-// and committed (made durable) before Add returns. A logging failure
+// and committed before Add returns; it is durable on return only when the
+// journal's Commit syncs (internal/wal's group mode returns before its
+// next flush, so a crash within one interval can lose it). A logging failure
 // refuses the insert — Add returns index -1 with isNew false, the class
 // is not published, and the failure is counted in JournalErrors. A
 // commit failure is also reported as a refusal (index -1, counted), but
@@ -359,9 +450,9 @@ func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, is
 }
 
 // addCertified is the certified insert path shared by Add and the
-// untrusted branch of ApplyLogRecord: hash, chain certification, journal,
-// publication. It ignores the read-only gate, which governs only the
-// public surface.
+// untrusted branch of ApplyLogRecord: hint probe, hash, chain
+// certification, journal, publication. It ignores the read-only gate,
+// which governs only the public surface.
 func (s *Store) addCertified(ctx context.Context, f *tt.TT) (key uint64, index int, isNew bool) {
 	if f.NumVars() != s.n {
 		panic("store: function arity does not match store")
@@ -371,49 +462,58 @@ func (s *Store) addCertified(ctx context.Context, f *tt.TT) (key uint64, index i
 	e := s.borrow()
 	defer s.release(e)
 
+	cheap := e.cheap.Hash(f)
+	h, _, q, out := s.probeHint(cheap, f, e)
+	sp.SetAttr("hint", out.String())
+	if out == hintHit {
+		return h.key, h.index, false
+	}
 	key = e.cls.Hash(f)
 	sh := s.shardFor(key)
 
-	// Fast path: scan the chain as published so far without holding any
-	// lock during the (expensive) exact matching.
+	// Certify against the chain as published so far without holding any
+	// lock during the (expensive) exact matching. Members that raced in
+	// before the write lock was taken are certified the same way, outside
+	// the lock, and the append retried; chain elements are immutable, so
+	// every earlier scan stays valid.
 	reps, profs := sh.snapshot(key)
-	if i, _, eq := s.certifyChain(ctx, sh, key, reps, profs, f, e); eq {
-		return key, i, false
-	}
-
-	// Slow path: take the write lock, certify only against members that
-	// raced in since the snapshot, then append. Chain elements are
-	// immutable, so the earlier scan stays valid.
-	sh.mu.Lock()
-	c := sh.chains[key]
-	if c == nil {
-		c = &chain{}
-		sh.chains[key] = c
-	}
-	for i := len(reps); i < len(c.reps); i++ {
-		if _, eq := e.m.Equivalent(c.reps[i], f); eq {
-			sh.mu.Unlock()
+	from := 0
+	for {
+		if i, rp, _, eq := s.certifyChain(ctx, sh, key, reps, profs, from, f, q, e); eq {
+			s.noteHit(cheap, out, hint{key: key, index: i, rep: reps[i], prof: rp})
 			return key, i, false
 		}
-	}
-	j := s.journal
-	if j != nil {
-		if err := j.LogInsert(ctx, key, f); err != nil {
+		from = len(reps)
+		sh.mu.Lock()
+		c := sh.chains[key]
+		if c == nil {
+			c = &chain{}
+			sh.chains[key] = c
+		}
+		if len(c.reps) > from {
+			reps, profs = c.reps, c.profs
 			sh.mu.Unlock()
-			s.journalErrs.Add(1)
-			return key, -1, false
+			continue
 		}
-	}
-	c.reps = append(c.reps, f.Clone())
-	index = len(c.reps) - 1
-	sh.mu.Unlock()
-	if j != nil {
-		if err := j.Commit(ctx); err != nil {
-			s.journalErrs.Add(1)
-			return key, -1, false
+		j := s.journal
+		if j != nil {
+			if err := j.LogInsert(ctx, key, f); err != nil {
+				sh.mu.Unlock()
+				s.journalErrs.Add(1)
+				return key, -1, false
+			}
 		}
+		c.reps = append(c.reps, f.Clone())
+		index = len(c.reps) - 1
+		sh.mu.Unlock()
+		if j != nil {
+			if err := j.Commit(ctx); err != nil {
+				s.journalErrs.Add(1)
+				return key, -1, false
+			}
+		}
+		return key, index, true
 	}
-	return key, index, true
 }
 
 // addRecovered appends f as a representative of key, trusting a replayed
@@ -530,9 +630,9 @@ func (s *Store) Lookup(f *tt.TT) (rep *tt.TT, key uint64, index int, witness npn
 }
 
 // LookupCtx is Lookup with the request context threaded through for
-// tracing: the shard probe runs under a store.lookup span (shard index
-// and chain length as attributes) with the chain walk nested as
-// store.certify.
+// tracing: the shard probe runs under a store.lookup span (the hint
+// outcome, and on the full-key path the shard index and chain length, as
+// attributes) with the chain walk nested as store.certify.
 //
 //npn:noalloc
 func (s *Store) LookupCtx(ctx context.Context, f *tt.TT) (rep *tt.TT, key uint64, index int, witness npn.Transform, ok bool) {
@@ -540,9 +640,17 @@ func (s *Store) LookupCtx(ctx context.Context, f *tt.TT) (rep *tt.TT, key uint64
 		panic("store: function arity does not match store")
 	}
 	ctx, sp := obs.StartSpan(ctx, "store.lookup")
+	defer sp.End()
 	e := s.borrow()
 	defer s.release(e)
 
+	cheap := e.cheap.Hash(f)
+	h, tr, q, out := s.probeHint(cheap, f, e)
+	sp.SetAttr("hint", out.String())
+	if out == hintHit {
+		sp.SetBool("hit", true)
+		return h.rep, h.key, h.index, tr, true
+	}
 	key = e.cls.Hash(f)
 	sh := s.shardFor(key)
 	reps, profs := sh.snapshot(key)
@@ -550,13 +658,12 @@ func (s *Store) LookupCtx(ctx context.Context, f *tt.TT) (rep *tt.TT, key uint64
 		sp.SetInt("shard", int64(key&s.mask))
 		sp.SetInt("chain", int64(len(reps)))
 	}
-	if i, tr, eq := s.certifyChain(ctx, sh, key, reps, profs, f, e); eq {
+	if i, rp, tr, eq := s.certifyChain(ctx, sh, key, reps, profs, 0, f, q, e); eq {
+		s.noteHit(cheap, out, hint{key: key, index: i, rep: reps[i], prof: rp})
 		sp.SetBool("hit", true)
-		sp.End()
 		return reps[i], key, i, tr, true
 	}
 	sp.SetBool("hit", false)
-	sp.End()
 	return nil, key, -1, npn.Transform{}, false
 }
 
@@ -609,35 +716,4 @@ func (s *Store) ChainStats() (chains, maxLen int) {
 		}
 	})
 	return chains, maxLen
-}
-
-// Snapshot returns a point-in-time copy of every representative. The
-// returned tables are the store's own (immutable) clones; callers must
-// not modify them.
-func (s *Store) Snapshot() []*tt.TT {
-	var fs []*tt.TT
-	s.forEachChain(func(_ int, chain []*tt.TT) { fs = append(fs, chain...) })
-	return fs
-}
-
-// Save writes a point-in-time snapshot as a ttio workload file (one
-// representative per line) with an arity header comment. Concurrent
-// inserts during Save land in or after the snapshot, never corrupt it.
-func (s *Store) Save(w io.Writer) error {
-	fs := s.Snapshot()
-	return ttio.Write(w, fs, fmt.Sprintf("store n=%d shards=%d classes=%d", s.n, len(s.shards), len(fs)))
-}
-
-// Load reads a snapshot written by Save (or any ttio workload of the
-// right arity) into a fresh store with the given options.
-func Load(r io.Reader, n int, o Options) (*Store, error) {
-	fs, err := ttio.Read(r, n)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := New(n, o)
-	for _, f := range fs {
-		s.Add(f)
-	}
-	return s, nil
 }

@@ -171,13 +171,6 @@ func Replay(dir string, fn func(seg Segment, meta uint64, rec Record) error) (Re
 	return replaySegments(segs, true, fn)
 }
 
-// ReplaySegments replays exactly the given segments in order. Unlike
-// Replay it never tolerates a torn record: callers use it for sealed
-// segments (compaction), where a short record means corruption.
-func ReplaySegments(segs []Segment, fn func(seg Segment, meta uint64, rec Record) error) (ReplayStats, error) {
-	return replaySegments(segs, false, fn)
-}
-
 func replaySegments(segs []Segment, tornTailOK bool, fn func(seg Segment, meta uint64, rec Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	for i, seg := range segs {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # bench-trajectory.sh — measure the serving-stack performance trajectory.
 #
-# Runs the tier-1 serving benchmarks (store lookup, WAL replay, store
-# throughput), boots a real durable npnserve with metrics on, drives a
-# short classify loadgen against it, and folds both into one
-# schema-stable JSON document (see cmd/benchtraj) whose p50/p99 come from
-# the server's own latency histogram.
+# Runs the tier-1 serving benchmarks (store lookup hit, miss and crafted
+# miss, transports, WAL replay, store throughput), boots a real durable
+# npnserve with metrics on, drives a short classify loadgen against it,
+# and folds both into one schema-stable JSON document (see
+# cmd/benchtraj) whose p50/p99 come from the server's own latency
+# histogram.
 #
 # Usage:
 #   scripts/bench-trajectory.sh [out.json]
@@ -37,7 +38,7 @@ go build -o "$WORK/npnserve" ./cmd/npnserve
 go build -o "$WORK/benchtraj" ./cmd/benchtraj
 
 echo "== benchmarks (benchtime=$BENCHTIME)"
-go test -run '^$' -bench 'LookupCachedVsUncached|TransportClassify|WALReplay|StoreThroughput' \
+go test -run '^$' -bench 'StoreLookup|TransportClassify|WALReplay|StoreThroughput' \
   -benchtime "$BENCHTIME" -benchmem . | tee "$WORK/bench.txt"
 
 echo "== loadgen against a live durable server on $ADDR"
