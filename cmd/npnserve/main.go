@@ -25,11 +25,11 @@
 //	                   its hex length and routed to that arity's store. A
 //	                   bad function fails only its own item: the response
 //	                   carries per-item {"error":{"code",...}} objects.
-//	POST /v2/insert    same body; absent classes are created
-//	POST /v2/classify/stream, POST /v2/insert/stream
-//	                   NDJSON variants (one hex function per line in, one
-//	                   result object per line out) for batches too large
-//	                   to buffer
+//	POST /v2/insert    same body; absent classes are created. Both batch
+//	                   endpoints also speak the length-framed binary
+//	                   transport (docs/WIRE.md), negotiated per direction
+//	                   by Content-Type and Accept; a batch holds at most
+//	                   65536 functions, and pkg/client splits longer ones
 //	POST /v2/map       ASCII-AIGER circuit body (+ ?k=6&mode=depth&cuts=8)
 //	                   -> functionally-verified k-LUT mapping with its NPN
 //	                   class census; ?insert=true warms the store with the
@@ -43,8 +43,7 @@
 // Unmatched routes and methods answer the /v2 JSON error envelope. A
 // durable server also serves the replication feed its followers tail
 // (GET /v1/wal/...; the prefix names that internal protocol, not an API
-// version). -max-body bounds the AIGER upload and NDJSON stream bodies in
-// bytes.
+// version). -max-body bounds /v2/map AIGER uploads in bytes.
 //
 // -arities accepts a single arity ("6") or an inclusive range ("4-10");
 // per-arity stores are constructed lazily on first use. -config names
@@ -188,7 +187,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "per-arity batch worker pool width (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.cache, "cache", service.DefaultCacheSize, "per-arity LRU result cache capacity (negative disables)")
 	flag.StringVar(&cfg.keyConfig, "config", "full", "MSV key configuration: only \"full\" (the paper's complete vector set)")
-	flag.Int64Var(&cfg.maxBody, "max-body", api.DefaultMaxBody, "byte bound on /v2/map circuit uploads and NDJSON stream bodies")
+	flag.Int64Var(&cfg.maxBody, "max-body", api.DefaultMaxBody, "byte bound on /v2/map circuit uploads (0 or negative = the default)")
 	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory: per-arity WAL + snapshot under n<arity>/ (empty = memory only)")
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "WAL group-fsync interval; 0 fsyncs every append (with -data)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold in bytes (with -data)")
@@ -319,16 +318,6 @@ func main() {
 	}
 }
 
-// bodyBound returns the -max-body value, with zero and negatives (and
-// the zero config value the tests construct) falling back to the
-// default.
-func (c config) bodyBound() int64 {
-	if c.maxBody <= 0 {
-		return api.DefaultMaxBody
-	}
-	return c.maxBody
-}
-
 // handlerOptions assembles the observability and admission-control
 // surface both server roles share: with -metrics a fresh obs registry
 // (plus the Go runtime collectors) and the request middleware with the
@@ -346,7 +335,7 @@ func (c config) handlerOptions(reg *federation.Registry) (federation.HandlerOpti
 // guard authenticates against, so main can swap it in place on SIGHUP.
 // The keyring is nil when no keys are configured.
 func (c config) handlerOptionsKeyring(reg *federation.Registry) (federation.HandlerOptions, *auth.Keyring, error) {
-	o := federation.HandlerOptions{MaxBody: c.bodyBound()}
+	o := federation.HandlerOptions{MaxBody: c.maxBody}
 	if c.metrics {
 		m := obs.NewRegistry()
 		obs.RegisterRuntime(m)

@@ -215,7 +215,8 @@ func TestJSONFallbacks(t *testing.T) {
 // the headline endpoints are all present. The primary and the follower
 // mount one API: the primary's spec is the follower's plus the three
 // replication-feed routes, no other /v1 route is listed, and the removed
-// /v1 classify, insert, compact and stats routes answer not_found on
+// /v1 classify, insert, compact and stats routes and the removed
+// /v2/classify/stream and /v2/insert/stream routes answer not_found on
 // both stacks.
 func TestSpecCoversRoutes(t *testing.T) {
 	ctx := context.Background()
@@ -231,7 +232,6 @@ func TestSpecCoversRoutes(t *testing.T) {
 	}
 	want := []string{
 		"POST /v2/classify", "POST /v2/insert",
-		"POST /v2/classify/stream", "POST /v2/insert/stream",
 		"POST /v2/map", "POST /v2/compact", "GET /v2/stats", "GET /v2/spec",
 		"GET /healthz", "GET /metrics",
 	}
@@ -307,12 +307,11 @@ func TestSpecCoversRoutes(t *testing.T) {
 	}
 
 	for name, cl := range map[string]*client.Client{"primary": c, "follower": fc} {
-		for _, op := range []string{"classify", "insert", "compact", "stats"} {
-			path := "/v1/" + op
+		for _, path := range []string{"/v1/classify", "/v1/insert", "/v1/compact", "/v1/stats", "/v2/classify/stream", "/v2/insert/stream"} {
 			var status int
 			var raw []byte
 			var err error
-			if op == "stats" {
+			if path == "/v1/stats" {
 				status, raw, err = cl.Get(ctx, path)
 			} else {
 				status, raw, err = cl.Post(ctx, path, "application/json", []byte(`{"functions":["1ee1"]}`))

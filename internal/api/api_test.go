@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,12 +17,8 @@ import (
 // fakeBackend is a minimal Backend: arity-4 functions, every classify a
 // deterministic miss, every insert a new class — plus failure injection.
 type fakeBackend struct {
-	classifyCalls int
-	insertCalls   int
 	// insertErr fails every Insert as a whole batch.
 	insertErr *Error
-	// failOnCall, when > 0, fails that Classify call (1-based).
-	failOnCall int
 }
 
 func (b *fakeBackend) Resolve(s string) (*tt.TT, *Error) {
@@ -45,10 +40,6 @@ func (b *fakeBackend) CheckArity(n int) *Error {
 }
 
 func (b *fakeBackend) Classify(_ context.Context, fs []*tt.TT) ([]Result, *Error) {
-	b.classifyCalls++
-	if b.failOnCall > 0 && b.classifyCalls == b.failOnCall {
-		return nil, Errf(CodeInternal, "injected failure")
-	}
 	out := make([]Result, len(fs))
 	for i := range out {
 		out[i] = Result{Key: 42, Hit: false}
@@ -57,7 +48,6 @@ func (b *fakeBackend) Classify(_ context.Context, fs []*tt.TT) ([]Result, *Error
 }
 
 func (b *fakeBackend) Insert(_ context.Context, fs []*tt.TT) ([]InsertOutcome, *Error) {
-	b.insertCalls++
 	if b.insertErr != nil {
 		return nil, b.insertErr
 	}
@@ -258,6 +248,57 @@ func TestNotDurableItem(t *testing.T) {
 	if ins.Results[1].Error == nil || ins.Results[1].Error.Code != CodeNotDurable || ins.Results[1].Index != -1 {
 		t.Fatalf("refused item %+v", ins.Results[1])
 	}
+
+	// All four transport corners report the same not_durable error —
+	// code, message and the request ID — for the refused item.
+	const reqID = "req-not-durable"
+	fs := []*tt.TT{mustHex(t, "1ee1"), mustHex(t, "8bb8")}
+	var want *Error
+	for _, binReq := range []bool{false, true} {
+		for _, binResp := range []bool{false, true} {
+			body, ct := []byte(`{"functions":["1ee1","8bb8"]}`), "application/json"
+			if binReq {
+				body, ct = EncodeBinaryRequest(fs, false), BinaryContentType
+			}
+			rec := postAs(HandleInsert(refusing, 1<<16), reqID, "/v2/insert", ct, binResp, body)
+			if rec.Code != 200 {
+				t.Fatalf("binary request %v, binary response %v: status %d: %s", binReq, binResp, rec.Code, rec.Body)
+			}
+			var got *Error
+			if binResp {
+				items, err := DecodeBinaryInsert(rec.Body.Bytes())
+				if err != nil || len(items) != 2 {
+					t.Fatalf("binary request %v: binary response: %v %+v", binReq, err, items)
+				}
+				got = items[1].Err
+			} else {
+				var resp InsertResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 2 {
+					t.Fatalf("binary request %v: JSON response: %v %s", binReq, err, rec.Body)
+				}
+				got = resp.Results[1].Error
+			}
+			if got == nil || got.Code != CodeNotDurable || got.RequestID != reqID {
+				t.Fatalf("binary request %v, binary response %v: refused item error %+v, want not_durable with request_id %q",
+					binReq, binResp, got, reqID)
+			}
+			if want == nil {
+				want = got
+			} else if *got != *want {
+				t.Fatalf("binary request %v, binary response %v: error %+v differs from %+v", binReq, binResp, got, want)
+			}
+		}
+	}
+}
+
+// mustHex parses an arity-4 hex table.
+func mustHex(t *testing.T, s string) *tt.TT {
+	t.Helper()
+	f, err := tt.FromHex(4, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // refusingBackend refuses the second insert of every batch.
@@ -272,107 +313,6 @@ func (b *refusingBackend) Insert(_ context.Context, fs []*tt.TT) ([]InsertOutcom
 		}
 	}
 	return out, nil
-}
-
-// TestStreamChunksAndOrder: the NDJSON handler chunks a long input,
-// answers one line per input in order, and carries per-item errors
-// inline.
-func TestStreamChunksAndOrder(t *testing.T) {
-	b := &fakeBackend{}
-	n := StreamChunk*2 + 7
-	var in strings.Builder
-	for i := 0; i < n; i++ {
-		if i == 5 {
-			in.WriteString("zzzz\n") // bad hex: inline item error
-			continue
-		}
-		fmt.Fprintf(&in, "%04x\n", i&0xffff)
-	}
-	rec := postReq(HandleClassifyStream(b, DefaultMaxBody), "/v2/classify/stream", NDJSONContentType, in.String())
-	if rec.Code != 200 {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String()[:200])
-	}
-	if got := rec.Header().Get("Content-Type"); got != NDJSONContentType {
-		t.Fatalf("response content type %q", got)
-	}
-	if b.classifyCalls != 3 {
-		t.Fatalf("backend saw %d chunks, want 3", b.classifyCalls)
-	}
-	sc := bufio.NewScanner(strings.NewReader(rec.Body.String()))
-	lines := 0
-	for sc.Scan() {
-		var item ClassifyItem
-		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
-		}
-		if lines == 5 {
-			if item.Error == nil || item.Error.Code != CodeBadHex {
-				t.Fatalf("line 5 should be an inline bad_hex item: %+v", item)
-			}
-		} else if item.Error != nil {
-			t.Fatalf("line %d unexpected error %+v", lines, item.Error)
-		}
-		lines++
-	}
-	if lines != n {
-		t.Fatalf("%d response lines for %d inputs", lines, n)
-	}
-}
-
-// TestStreamQuotedAndBlankLines: NDJSON tooling that quotes values and
-// blank separator lines both work.
-func TestStreamQuotedAndBlankLines(t *testing.T) {
-	b := &fakeBackend{}
-	rec := postReq(HandleClassifyStream(b, DefaultMaxBody), "/v2/classify/stream", NDJSONContentType,
-		"\"1ee1\"\n\n  8bb8  \n")
-	if rec.Code != 200 {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	if got := strings.Count(strings.TrimSpace(rec.Body.String()), "\n") + 1; got != 2 {
-		t.Fatalf("%d lines: %s", got, rec.Body)
-	}
-}
-
-// TestStreamWholeBatchError: a whole-batch condition on the first chunk
-// claims the real status; after lines have been sent it becomes a
-// terminal trailing error line.
-func TestStreamWholeBatchError(t *testing.T) {
-	// First chunk: proper envelope with status.
-	b := &fakeBackend{insertErr: Errf(CodeReadOnly, "nope")}
-	rec := postReq(HandleInsertStream(b, DefaultMaxBody), "/v2/insert/stream", NDJSONContentType, "1ee1\n")
-	if rec.Code != 403 || decodeEnvelope(t, rec.Body.Bytes()).Code != CodeReadOnly {
-		t.Fatalf("pre-commit error: %d %s", rec.Code, rec.Body)
-	}
-
-	// Mid-stream: first chunk streams fine, second fails -> trailing
-	// error line on a 200.
-	cb := &fakeBackend{failOnCall: 2}
-	var in strings.Builder
-	for i := 0; i < StreamChunk+3; i++ {
-		fmt.Fprintf(&in, "%04x\n", i&0xffff)
-	}
-	rec = postReq(HandleClassifyStream(cb, DefaultMaxBody), "/v2/classify/stream", NDJSONContentType, in.String())
-	if rec.Code != 200 {
-		t.Fatalf("mid-stream error status %d", rec.Code)
-	}
-	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	if len(lines) != StreamChunk+1 {
-		t.Fatalf("%d lines, want %d results + 1 trailing error", len(lines), StreamChunk+1)
-	}
-	last := decodeEnvelope(t, []byte(lines[len(lines)-1]))
-	if last.Code != CodeInternal {
-		t.Fatalf("trailing error %+v", last)
-	}
-}
-
-// TestStreamBodyBound: the -max-body bound applies to streams.
-func TestStreamBodyBound(t *testing.T) {
-	b := &fakeBackend{}
-	body := strings.Repeat("1ee1\n", 100)
-	rec := postReq(HandleClassifyStream(b, 32), "/v2/classify/stream", NDJSONContentType, body)
-	if rec.Code != 413 && !strings.Contains(rec.Body.String(), string(CodeBodyTooLarge)) {
-		t.Fatalf("stream body bound: %d %s", rec.Code, rec.Body)
-	}
 }
 
 // TestMapHandler: parameter validation, content-type gate, verified

@@ -4,155 +4,243 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"mime"
 	"net/http"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/tt"
 )
 
-// DecodeBatch parses a /v2 BatchRequest body under the shared envelope
-// rules: JSON content type, body byte bound, unknown-field rejection,
-// non-empty batch, MaxBatch limit. Envelope failures are whole-request
-// errors (the batch never started); per-function problems are NOT checked
-// here — they become per-item errors downstream. On failure it writes the
-// error envelope and returns ok=false.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, maxBody int64) (fns []string, ok bool) {
+// IsBinaryRequest reports whether the request body is a binary frame
+// (Content-Type: application/x-npn-binary).
+func IsBinaryRequest(r *http.Request) bool {
+	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	return err == nil && mt == BinaryContentType
+}
+
+// AcceptsBinary reports whether the client asked for a binary response
+// body: the Accept header explicitly lists the binary media type. A bare
+// */* stays JSON — binary is strictly opt-in.
+func AcceptsBinary(r *http.Request) bool {
+	accept := r.Header.Get("Accept")
+	if accept == "" {
+		return false
+	}
+	for _, part := range strings.Split(accept, ",") {
+		mt, _, err := mime.ParseMediaType(strings.TrimSpace(part))
+		if err == nil && mt == BinaryContentType {
+			return true
+		}
+	}
+	return false
+}
+
+// batch is one decoded /v2/classify or /v2/insert request in the
+// transport-free form both response encoders consume.
+type batch struct {
+	// fs[i] is input i's function, nil when errs[i] holds its per-item
+	// error.
+	fs   []*tt.TT
+	errs []*Error
+	// hex holds a JSON request's own strings, which JSON responses echo;
+	// nil for a binary frame.
+	hex []string
+	// crc mirrors the request frame's CRC flag onto a binary response.
+	crc bool
+}
+
+// echo returns input i's function as a JSON response echoes it: the
+// request's own string, or the table's canonical hex when the request
+// was a binary frame (empty when the item never parsed).
+func (in batch) echo(i int) string {
+	if in.hex != nil {
+		return in.hex[i]
+	}
+	if in.fs[i] != nil {
+		return in.fs[i].Hex()
+	}
+	return ""
+}
+
+// decodeBatch parses a classify/insert request body in whichever of the
+// two transports the request declared. Envelope failures (content type,
+// byte bound, malformed JSON or frame, empty batch, MaxBatch) are
+// whole-request errors written as JSON error envelopes, on both
+// transports, and report ok=false. A function that parses but is not
+// served becomes a per-item error: b.Resolve decides for hex strings,
+// b.CheckArity for the frame's explicit arity bytes.
+func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Request) (batch, bool) {
+	if IsBinaryRequest(r) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		if err != nil {
+			writeBodyError(w, err)
+			return batch{}, false
+		}
+		fs, crc, err := DecodeBinaryRequest(body)
+		if err != nil {
+			WriteError(w, Errf(CodeBadRequest, "bad binary frame: %v", err))
+			return batch{}, false
+		}
+		in := batch{fs: fs, errs: make([]*Error, len(fs)), crc: crc}
+		for i, f := range fs {
+			if e := b.CheckArity(f.NumVars()); e != nil {
+				in.errs[i], in.fs[i] = e, nil
+			}
+		}
+		return in, true
+	}
+
 	if !CheckContentType(w, r, "application/json") {
-		return nil, false
+		return batch{}, false
 	}
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			WriteError(w, Errf(CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit))
-			return nil, false
-		}
-		WriteError(w, Errf(CodeBadRequest, "bad request body: %v", err))
-		return nil, false
+		writeBodyError(w, err)
+		return batch{}, false
 	}
 	if len(req.Functions) == 0 {
 		WriteError(w, Errf(CodeBadRequest, "functions must be a non-empty array of hex truth tables"))
-		return nil, false
+		return batch{}, false
 	}
 	if len(req.Functions) > MaxBatch {
 		WriteError(w, Errf(CodeBatchTooLarge, "batch of %d exceeds limit %d", len(req.Functions), MaxBatch).
-			WithDetail("use the /v2 streaming endpoints for larger batches"))
-		return nil, false
+			WithDetail("split larger batches into requests of at most %d functions", MaxBatch))
+		return batch{}, false
 	}
-	return req.Functions, true
-}
-
-// resolveBatch runs Resolve over the batch: items[i] is pre-filled with
-// the error item for unresolvable functions, valid holds the parsed
-// functions and validIdx their positions.
-func resolveBatch[T any](b Backend, fns []string, errItem func(fn string, e *Error) T) (items []T, valid []*tt.TT, validIdx []int, nErr int) {
-	items = make([]T, len(fns))
-	for i, s := range fns {
+	in := batch{
+		fs:   make([]*tt.TT, len(req.Functions)),
+		errs: make([]*Error, len(req.Functions)),
+		hex:  req.Functions,
+	}
+	for i, s := range req.Functions {
 		f, e := b.Resolve(s)
 		if e != nil {
-			items[i] = errItem(s, e)
-			nErr++
+			in.errs[i] = e
 			continue
 		}
-		valid = append(valid, f)
-		validIdx = append(validIdx, i)
+		in.fs[i] = f
 	}
-	return items, valid, validIdx, nErr
+	return in, true
 }
 
-// classifyBatch resolves and classifies one slice of functions into
-// per-item results — the core shared by the buffered handler and the
-// streaming variant.
-func classifyBatch(ctx context.Context, b Backend, fns []string) ([]ClassifyItem, int, *Error) {
-	reqID := obs.RequestIDFromContext(ctx)
-	items, valid, validIdx, nErr := resolveBatch(b, fns, func(fn string, e *Error) ClassifyItem {
-		return ClassifyItem{Function: fn, Error: e.WithRequestID(reqID)}
-	})
-	if len(valid) > 0 {
-		results, batchErr := b.Classify(ctx, valid)
-		if batchErr != nil {
-			return nil, 0, batchErr.WithRequestID(reqID)
-		}
-		for j, res := range results {
-			i := validIdx[j]
-			items[i] = classifyItem(fns[i], res)
-			items[i].Error = items[i].Error.WithRequestID(reqID)
-		}
+// writeBodyError answers a failed request-body read: body_too_large when
+// the byte bound tripped, bad_request otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		WriteError(w, Errf(CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit))
+		return
 	}
-	return items, nErr, nil
+	WriteError(w, Errf(CodeBadRequest, "bad request body: %v", err))
 }
 
-// insertBatch resolves and inserts one slice of functions into per-item
-// results, or a whole-batch error.
-func insertBatch(ctx context.Context, b Backend, fns []string) ([]InsertItem, int, *Error) {
-	reqID := obs.RequestIDFromContext(ctx)
-	items, valid, validIdx, nErr := resolveBatch(b, fns, func(fn string, e *Error) InsertItem {
-		return InsertItem{Function: fn, Error: e.WithRequestID(reqID)}
-	})
-	if len(valid) > 0 {
-		outcomes, batchErr := b.Insert(ctx, valid)
-		if batchErr != nil {
-			return nil, 0, batchErr.WithRequestID(reqID)
+// runBatch calls op once on the inputs of in that parsed and scatters its
+// per-input outcomes back to input order. itemErr, when non-nil, names an
+// outcome's own per-item error, which is folded into in.errs so the
+// encoders never mint one. Every per-item error is then stamped with the
+// request ID and counted in nErr. A whole-batch error from op is written
+// as the error envelope and reports ok=false.
+func runBatch[T any](w http.ResponseWriter, r *http.Request, in batch,
+	op func(context.Context, []*tt.TT) ([]T, *Error), itemErr func(T) *Error) (out []T, nErr int, ok bool) {
+	reqID := obs.RequestIDFromContext(r.Context())
+	valid := make([]*tt.TT, 0, len(in.fs))
+	for _, f := range in.fs {
+		if f != nil {
+			valid = append(valid, f)
 		}
-		for j, o := range outcomes {
-			i := validIdx[j]
-			items[i] = insertItem(fns[i], o)
-			if items[i].Error != nil {
-				items[i].Error = items[i].Error.WithRequestID(reqID)
-				nErr++
+	}
+	out = make([]T, len(in.fs))
+	if len(valid) > 0 {
+		got, batchErr := op(r.Context(), valid)
+		if batchErr != nil {
+			WriteError(w, batchErr.WithRequestID(reqID))
+			return nil, 0, false
+		}
+		j := 0
+		for i, f := range in.fs {
+			if f == nil {
+				continue
+			}
+			out[i] = got[j]
+			j++
+			if itemErr != nil {
+				in.errs[i] = itemErr(out[i])
 			}
 		}
 	}
-	return items, nErr, nil
+	for i, e := range in.errs {
+		if e != nil {
+			in.errs[i] = e.WithRequestID(reqID)
+			nErr++
+		}
+	}
+	return out, nErr, true
 }
 
-// HandleClassify returns the POST /v2/classify handler over b: a buffered
-// batch lookup where one bad truth table fails only its own item. The
-// endpoint speaks two transports, negotiated per request: the JSON
-// envelope (default) and the length-framed binary format of docs/WIRE.md
+// writeBinary emits a binary response frame.
+func writeBinary(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(frame)
+}
+
+// HandleClassify returns the POST /v2/classify handler over b: a batch
+// lookup where one bad truth table fails only its own item. The endpoint
+// speaks two transports, negotiated per request: the JSON envelope
+// (default) and the length-framed binary format of docs/WIRE.md
 // (Content-Type selects the request decoding, Accept the response
-// encoding, and the two sides mix freely).
+// encoding, and the two sides mix freely). Every combination takes the
+// same path: decode, one backend call, encode. Whole-batch errors are
+// JSON envelopes at their usual status codes regardless of Accept, so
+// clients keep one error decode path.
 func HandleClassify(b Backend, maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if IsBinaryRequest(r) || AcceptsBinary(r) {
-			handleClassifyNegotiated(b, maxBody, w, r)
-			return
-		}
-		fns, ok := DecodeBatch(w, r, maxBody)
+		in, ok := decodeBatch(b, maxBody, w, r)
 		if !ok {
 			return
 		}
-		items, nErr, batchErr := classifyBatch(r.Context(), b, fns)
-		if batchErr != nil {
-			WriteError(w, batchErr)
+		res, nErr, ok := runBatch(w, r, in, b.Classify, nil)
+		if !ok {
 			return
+		}
+		if AcceptsBinary(r) {
+			writeBinary(w, EncodeBinaryClassify(res, in.errs, in.crc))
+			return
+		}
+		items := make([]ClassifyItem, len(res))
+		for i := range res {
+			items[i] = classifyItem(in.echo(i), res[i], in.errs[i])
 		}
 		WriteJSON(w, http.StatusOK, ClassifyResponse{Results: items, Errors: nErr})
 	}
 }
 
 // HandleInsert returns the POST /v2/insert handler over b. Per-item
-// failures (bad_hex, arity_out_of_range, not_durable) are reported inside
-// a 200 response; whole-batch conditions (read_only, primary_unreachable)
-// are error envelopes. Like HandleClassify, it negotiates between the
-// JSON envelope and the binary frame per request.
+// failures (bad_hex, arity_out_of_range, not_durable, an error a
+// forwarding follower relays) are reported inside a 200 response;
+// whole-batch conditions (read_only, primary_unreachable) are error
+// envelopes. It negotiates the transports exactly as HandleClassify does.
 func HandleInsert(b Backend, maxBody int64) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if IsBinaryRequest(r) || AcceptsBinary(r) {
-			handleInsertNegotiated(b, maxBody, w, r)
-			return
-		}
-		fns, ok := DecodeBatch(w, r, maxBody)
+		in, ok := decodeBatch(b, maxBody, w, r)
 		if !ok {
 			return
 		}
-		items, nErr, batchErr := insertBatch(r.Context(), b, fns)
-		if batchErr != nil {
-			WriteError(w, batchErr)
+		out, nErr, ok := runBatch(w, r, in, b.Insert, InsertOutcome.itemError)
+		if !ok {
 			return
+		}
+		if AcceptsBinary(r) {
+			writeBinary(w, EncodeBinaryInsert(out, in.errs, in.crc))
+			return
+		}
+		items := make([]InsertItem, len(out))
+		for i := range out {
+			items[i] = insertItem(in.echo(i), out[i], in.errs[i])
 		}
 		WriteJSON(w, http.StatusOK, InsertResponse{Results: items, Errors: nErr})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 
 	"repro/internal/npn"
@@ -187,6 +188,12 @@ func (r *binReader) header() (int, bool) {
 	if r.err != nil {
 		return 0, false
 	}
+	// Bound the count before the int conversion: a 64-bit count would
+	// turn negative and slip past the callers' MaxBatch checks.
+	if count > math.MaxInt32 {
+		r.fail("item count %d out of range", count)
+		return 0, false
+	}
 	return int(count), crc
 }
 
@@ -349,20 +356,11 @@ func (r *binReader) readItemError() *Error {
 	return &e
 }
 
-// repTable returns the representative truth table of a hit result: the
-// Rep field when the backend filled it, otherwise the RepHex decode.
-func repTable(res Result) (*tt.TT, error) {
-	if res.Rep != nil {
-		return res.Rep, nil
-	}
-	return tt.FromHex(res.Witness.N, res.RepHex)
-}
-
 // EncodeBinaryClassify frames per-item classify outcomes: for every input,
 // errs[i] (when set) as a JSON error payload, otherwise res[i] as a miss
 // (status, key) or hit (status, key, index, witness, representative
-// table). Keys travel as fixed 8 little-endian bytes — they are uniform
-// 64-bit hashes, where a varint would cost more.
+// table packed from res[i].Rep). Keys travel as fixed 8 little-endian
+// bytes — they are uniform 64-bit hashes, where a varint would cost more.
 func EncodeBinaryClassify(res []Result, errs []*Error, crc bool) []byte {
 	dst := appendBinaryHeader(make([]byte, 0, 64+32*len(res)), len(res), crc)
 	for i := range res {
@@ -376,16 +374,11 @@ func EncodeBinaryClassify(res []Result, errs []*Error, crc bool) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, rr.Key)
 			continue
 		}
-		rep, err := repTable(rr)
-		if err != nil {
-			dst = appendItemError(dst, Errf(CodeInternal, "representative table unavailable: %v", err))
-			continue
-		}
 		dst = append(dst, binStatusHit)
 		dst = binary.LittleEndian.AppendUint64(dst, rr.Key)
 		dst = appendUvarint(dst, uint64(rr.Index))
 		dst = appendWitness(dst, rr.Witness)
-		dst = appendTT(dst, rep)
+		dst = appendTT(dst, rr.Rep)
 	}
 	return finishBinaryFrame(dst, crc)
 }
@@ -455,32 +448,23 @@ func DecodeBinaryClassify(data []byte) ([]BinaryClassifyItem, error) {
 
 // EncodeBinaryInsert frames per-item insert outcomes: errs[i] (when set)
 // as a JSON error payload, otherwise status created/existing followed by
-// the fixed 8-byte key and the varint chain index. A journal-refused
-// insert (Index < 0) travels as the same not_durable error the JSON
-// response reports.
+// the fixed 8-byte key and the varint chain index. errs must already hold
+// every outcome's own error — a relayed one, or not_durable for a
+// journal-refused insert — exactly as the JSON response reports it.
 func EncodeBinaryInsert(out []InsertOutcome, errs []*Error, crc bool) []byte {
 	dst := appendBinaryHeader(make([]byte, 0, 16+12*len(out)), len(out), crc)
-	for i := range out {
+	for i, o := range out {
 		if errs[i] != nil {
 			dst = appendItemError(dst, errs[i])
 			continue
 		}
-		o := out[i]
-		switch {
-		case o.Err != nil:
-			dst = appendItemError(dst, o.Err)
-		case o.Index < 0:
-			dst = appendItemError(dst, Errf(CodeNotDurable,
-				"insert refused: journal failure, class not stored durably"))
-		default:
-			status := byte(binStatusHit)
-			if o.New {
-				status = binStatusCreated
-			}
-			dst = append(dst, status)
-			dst = binary.LittleEndian.AppendUint64(dst, o.Key)
-			dst = appendUvarint(dst, uint64(o.Index))
+		status := byte(binStatusHit)
+		if o.New {
+			status = binStatusCreated
 		}
+		dst = append(dst, status)
+		dst = binary.LittleEndian.AppendUint64(dst, o.Key)
+		dst = appendUvarint(dst, uint64(o.Index))
 	}
 	return finishBinaryFrame(dst, crc)
 }

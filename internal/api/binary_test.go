@@ -136,13 +136,6 @@ func TestBinaryClassifyRoundTrip(t *testing.T) {
 			t.Fatalf("error item: %+v", items[2].Err)
 		}
 	}
-
-	// The RepHex fallback path (backend without a parsed Rep at hand).
-	res[1].RepHex, res[1].Rep = rep.Hex(), nil
-	items, err := DecodeBinaryClassify(EncodeBinaryClassify(res, errs, false))
-	if err != nil || !items[1].Rep.Equal(rep) {
-		t.Fatalf("RepHex fallback: %v %+v", err, items[1])
-	}
 }
 
 // TestBinaryInsertRoundTrip covers created, existing, per-item error and
@@ -154,7 +147,7 @@ func TestBinaryInsertRoundTrip(t *testing.T) {
 		{Key: 3, Index: -1},
 		{},
 	}
-	errs := []*Error{nil, nil, nil, Errf(CodeArityOutOfRange, "bad arity")}
+	errs := []*Error{nil, nil, out[2].itemError(), Errf(CodeArityOutOfRange, "bad arity")}
 	items, err := DecodeBinaryInsert(EncodeBinaryInsert(out, errs, true))
 	if err != nil {
 		t.Fatal(err)

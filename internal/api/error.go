@@ -2,12 +2,12 @@
 // typed request/response envelopes, the machine-readable error taxonomy,
 // the Router that mounts every endpoint (with a JSON 404/405 fallback and
 // a self-describing GET /v2/spec), the shared /v2 batch handlers with
-// per-item errors, their NDJSON streaming variants, and the /v2/map
-// circuit-mapping endpoint. Both handler stacks — internal/federation
-// (the primary, any arity range) and internal/replica (the follower) —
-// mount their routes through this package, so the wire format cannot
-// diverge between them, and pkg/client is its consumer on the client
-// side.
+// per-item errors over the JSON envelope and the binary frame, and the
+// /v2/map circuit-mapping endpoint. Both handler stacks —
+// internal/federation (the primary, any arity range) and
+// internal/replica (the follower) — mount their routes through this
+// package, so the wire format cannot diverge between them, and
+// pkg/client is its consumer on the client side.
 //
 // Versioning: /v2 is the only API version. The replication feed a
 // primary serves under /v1/wal/ is an internal protocol, not a version
@@ -95,9 +95,9 @@ type Error struct {
 	Detail  string `json:"detail,omitempty"`
 	// RequestID correlates the error with the request that produced it:
 	// the ID the obs middleware stamped (or the caller supplied via
-	// X-Request-Id). Set on envelope-level errors, per-item batch errors
-	// and the NDJSON trailing error line, so one grep finds a failed item
-	// in a million-line stream and its slow-request log line alike.
+	// X-Request-Id). Set on envelope-level errors and on every per-item
+	// batch error, on both transports, so one grep finds a failed item
+	// and its slow-request log line alike.
 	RequestID string `json:"request_id,omitempty"`
 }
 
@@ -175,13 +175,4 @@ func (e *Error) HTTPStatus() int {
 // {"error": {"code": ..., "message": ..., "detail": ...}}.
 type ErrorEnvelope struct {
 	Error *Error `json:"error"`
-}
-
-// AsError coerces err into a wire *Error: an *Error passes through, any
-// other error becomes CodeInternal.
-func AsError(err error) *Error {
-	if e, ok := err.(*Error); ok {
-		return e
-	}
-	return Errf(CodeInternal, "%v", err)
 }

@@ -22,10 +22,9 @@ import (
 // into the serving store, so mapping traffic warms the classifier for the
 // next circuit.
 
-// DefaultMaxBody is the request-body byte bound used when a stack mounts
-// handlers without an explicit limit (npnserve's -max-body flag overrides
-// it). It applies to the AIGER upload and the NDJSON streaming bodies;
-// the buffered JSON batch endpoints keep their arity-derived bounds.
+// DefaultMaxBody is the byte bound on /v2/map AIGER uploads when a stack
+// mounts HandleMap without an explicit limit (npnserve's -max-body flag
+// overrides it). The batch endpoints keep their arity-derived bounds.
 const DefaultMaxBody int64 = 64 << 20
 
 // mapVerifyWords and mapVerifySeed parameterize sampled verification for
@@ -116,7 +115,8 @@ type MapResponse struct {
 
 // MapConfig wires HandleMap into a serving stack.
 type MapConfig struct {
-	// MaxBody bounds the AIGER upload; 0 means DefaultMaxBody.
+	// MaxBody bounds the AIGER upload; zero or negative means
+	// DefaultMaxBody.
 	MaxBody int64
 	// Insert, when non-nil, stores a batch of K-ary LUT functions on
 	// ?insert=true; the context is the map request's, so a forwarding

@@ -30,8 +30,8 @@ type Spec struct {
 	Routes     []Route  `json:"routes"`
 	ErrorCodes []string `json:"error_codes"`
 	// Docs points at the normative wire specification for this surface —
-	// the byte-level contract (JSON envelopes, NDJSON streaming, the
-	// binary frame format) that the route list only names.
+	// the byte-level contract (JSON envelopes, the binary frame format)
+	// that the route list only names.
 	Docs string `json:"docs,omitempty"`
 	// BinaryContentType is the media type of the length-framed binary
 	// transport accepted and produced by /v2/classify and /v2/insert.

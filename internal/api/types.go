@@ -8,9 +8,9 @@ import (
 	"repro/internal/tt"
 )
 
-// MaxBatch bounds the number of functions accepted in one buffered batch
-// request. Larger workloads use the NDJSON streaming endpoints, which are
-// bounded by bytes, not items.
+// MaxBatch bounds the number of functions accepted in one batch request,
+// on either transport. pkg/client sends a longer batch as consecutive
+// requests of at most MaxBatch functions.
 const MaxBatch = 1 << 16
 
 // BatchRequest is the body of POST /v2/classify and POST /v2/insert: a
@@ -113,13 +113,11 @@ type Result struct {
 	Index int
 	// Hit reports whether the class is stored.
 	Hit bool
-	// RepHex is the certified representative's hex form (empty on a miss).
-	RepHex string
-	// Rep is the representative's parsed table when the backend has it at
-	// hand (hit only, optional): the binary transport encodes from it
-	// directly instead of re-decoding RepHex. Never mutated by consumers.
+	// Rep is the certified representative's table (hit only). The JSON
+	// encoder renders its hex, the binary encoder packs it. Never mutated
+	// by consumers.
 	Rep *tt.TT
-	// Witness is a transform τ with τ(RepHex) = function (hit only).
+	// Witness is a transform τ with τ(Rep) = function (hit only).
 	Witness npn.Transform
 }
 
@@ -134,9 +132,22 @@ type InsertOutcome struct {
 	Err   *Error
 }
 
-// Backend is what a serving stack plugs into the shared /v2 batch and
-// streaming handlers: arity selection with its error coding, and the
-// batch pipeline operations. The context is the request's — a forwarding
+// refused reports whether the store refused the insert (journal failure).
+func (o InsertOutcome) refused() bool { return o.Err == nil && o.Index < 0 }
+
+// itemError returns the outcome's per-item error, nil on success: the
+// relayed Err, or not_durable for a refused insert. It is the one place
+// not_durable items are minted, for both transports.
+func (o InsertOutcome) itemError() *Error {
+	if o.refused() {
+		return Errf(CodeNotDurable, "insert refused: journal failure, class not stored durably")
+	}
+	return o.Err
+}
+
+// Backend is what a serving stack plugs into the shared /v2 batch
+// handlers: arity selection with its error coding, and the batch
+// pipeline operations. The context is the request's — a forwarding
 // follower threads it into its primary calls.
 //
 // Classify and Insert return one entry per input, in order, or a
@@ -161,33 +172,34 @@ type Backend interface {
 // KeyHex renders a class key in its canonical 16-digit wire form.
 func KeyHex(key uint64) string { return fmt.Sprintf("%016x", key) }
 
-// classifyItem encodes one resolved function's result.
-func classifyItem(fn string, r Result) ClassifyItem {
+// classifyItem encodes one function's JSON classify item: the per-item
+// error e when set, otherwise the result r.
+func classifyItem(fn string, r Result, e *Error) ClassifyItem {
+	if e != nil {
+		return ClassifyItem{Function: fn, Error: e}
+	}
 	it := ClassifyItem{Function: fn, Hit: r.Hit, Class: KeyHex(r.Key)}
 	if r.Hit {
 		idx := r.Index
 		it.Index = &idx
-		it.Rep = r.RepHex
+		it.Rep = r.Rep.Hex()
 		it.Witness = NewWitness(r.Witness)
 	}
 	return it
 }
 
-// insertItem encodes one resolved function's insertion outcome.
-func insertItem(fn string, o InsertOutcome) InsertItem {
-	if o.Err != nil {
-		return InsertItem{Function: fn, Error: o.Err}
+// insertItem encodes one function's JSON insert item: the per-item error
+// e when set, otherwise the outcome o. A refused insert's item keeps its
+// class key and index -1 next to the not_durable error.
+func insertItem(fn string, o InsertOutcome, e *Error) InsertItem {
+	switch {
+	case e == nil:
+		return InsertItem{Function: fn, Class: KeyHex(o.Key), Index: o.Index, New: o.New}
+	case o.refused():
+		return InsertItem{Function: fn, Error: e, Class: KeyHex(o.Key), Index: -1}
+	default:
+		return InsertItem{Function: fn, Error: e}
 	}
-	if o.Index < 0 {
-		return InsertItem{
-			Function: fn,
-			Class:    KeyHex(o.Key),
-			Index:    -1,
-			Error: Errf(CodeNotDurable,
-				"insert refused: journal failure, class not stored durably"),
-		}
-	}
-	return InsertItem{Function: fn, Class: KeyHex(o.Key), Index: o.Index, New: o.New}
 }
 
 // HexDigits returns the wire length of an n-variable hex truth table:

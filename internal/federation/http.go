@@ -12,9 +12,8 @@ import (
 	"repro/internal/tt"
 )
 
-// NewHandler returns the federated HTTP/JSON API over reg with the
-// default body bound for uploads and streams and no observability
-// surface; see NewHandlerOpts.
+// NewHandler returns the federated HTTP API over reg with the default
+// /v2/map upload bound and no observability surface; see NewHandlerOpts.
 func NewHandler(reg *Registry) http.Handler {
 	return NewHandlerOpts(reg, HandlerOptions{})
 }
@@ -22,8 +21,9 @@ func NewHandler(reg *Registry) http.Handler {
 // HandlerOptions configures the observability surface of a federated (or,
 // via internal/replica, follower) handler.
 type HandlerOptions struct {
-	// MaxBody bounds the AIGER upload and NDJSON stream bodies; zero means
-	// api.DefaultMaxBody.
+	// MaxBody bounds /v2/map AIGER uploads in bytes; zero or negative
+	// means api.DefaultMaxBody. The batch endpoints keep their
+	// arity-derived bound.
 	MaxBody int64
 	// Metrics, when non-nil, mounts GET /metrics (Prometheus text
 	// exposition) and registers the registry's collectors on it.
@@ -44,15 +44,6 @@ type HandlerOptions struct {
 	// (trace details name client identities) but never rate-limits or
 	// sheds them (auth.DefaultAuthOnly).
 	Trace *obs.Tracer
-}
-
-// BodyLimit is the effective bound on AIGER upload and NDJSON stream
-// bodies: MaxBody, or api.DefaultMaxBody when unset.
-func (o HandlerOptions) BodyLimit() int64 {
-	if o.MaxBody <= 0 {
-		return api.DefaultMaxBody
-	}
-	return o.MaxBody
 }
 
 // Mount wires o's observability and admission control onto a router:
@@ -88,18 +79,18 @@ func (o HandlerOptions) Mount(rt *api.Router, reg *Registry) {
 // inferred from its hex length (2^n/4 digits, unique per arity for
 // n ≥ 2). A registry with a single arity is the single-arity server.
 //
-//	POST /v2/classify         mixed-arity batch lookup, per-item errors
-//	POST /v2/insert           mixed-arity batch insert, per-item errors
-//	POST /v2/classify/stream  NDJSON variant for unbuffered batches
-//	POST /v2/insert/stream    NDJSON variant for unbuffered batches
-//	POST /v2/map              map an ASCII-AIGER circuit to k-LUTs;
-//	                          ?insert=true warms the store with the
-//	                          discovered LUT classes
-//	POST /v2/compact          admin: fold sealed WAL segments (409 via
-//	                          code not_durable on a memory-only registry)
-//	GET  /v2/stats            aggregate totals + per-arity breakdown
-//	GET  /v2/spec             routes + error codes
-//	GET  /healthz             liveness + federated range
+//	POST /v2/classify  mixed-arity batch lookup, per-item errors; JSON
+//	                   or binary frame, negotiated per direction
+//	POST /v2/insert    mixed-arity batch insert, per-item errors; same
+//	                   transports
+//	POST /v2/map       map an ASCII-AIGER circuit to k-LUTs;
+//	                   ?insert=true warms the store with the discovered
+//	                   LUT classes
+//	POST /v2/compact   admin: fold sealed WAL segments (409 via code
+//	                   not_durable on a memory-only registry)
+//	GET  /v2/stats     aggregate totals + per-arity breakdown
+//	GET  /v2/spec      routes + error codes
+//	GET  /healthz      liveness + federated range
 //
 // plus the replication feed a durable registry serves to followers (all
 // three answer 409 on a non-durable registry). Its /v1 prefix names the
@@ -110,14 +101,13 @@ func (o HandlerOptions) Mount(rt *api.Router, reg *Registry) {
 //	GET /v1/wal/segment/{arity}/{seq}?offset=N
 //	                                 raw segment bytes from offset
 //
-// o.MaxBody bounds the AIGER upload and NDJSON stream bodies (npnserve's
-// -max-body flag); the JSON batch endpoints keep their arity-derived
-// bound. With o.Metrics set the stack additionally serves GET /metrics
-// (listed in /v2/spec like every route), and with o.HTTP set every
-// route — the 404 fallback and /metrics itself included — is traced and
-// measured by the obs middleware.
+// o.MaxBody bounds the /v2/map AIGER upload (npnserve's -max-body flag);
+// the batch endpoints keep their arity-derived bound. With o.Metrics set
+// the stack additionally serves GET /metrics (listed in /v2/spec like
+// every route), and with o.HTTP set every route — the 404 fallback and
+// /metrics itself included — is traced and measured by the obs
+// middleware.
 func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
-	maxBody := o.BodyLimit()
 	rt := api.NewRouter("federated")
 	o.Mount(rt, reg)
 	b := NewBackend(reg)
@@ -129,10 +119,8 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 
 	rt.Handle("POST", "/v2/classify", "mixed-arity batch lookup with per-item errors", api.HandleClassify(b, jsonBody))
 	rt.Handle("POST", "/v2/insert", "mixed-arity batch insert with per-item errors", api.HandleInsert(b, jsonBody))
-	rt.Handle("POST", "/v2/classify/stream", "NDJSON streaming lookup", api.HandleClassifyStream(b, maxBody))
-	rt.Handle("POST", "/v2/insert/stream", "NDJSON streaming insert", api.HandleInsertStream(b, maxBody))
 	rt.Handle("POST", "/v2/map", "map an ASCII-AIGER circuit to k-LUTs; ?insert=true warms the store",
-		api.HandleMap(api.MapConfig{MaxBody: maxBody, Insert: b.insertMapped}))
+		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: b.insertMapped}))
 	rt.Handle("POST", "/v2/compact", "fold every arity's sealed WAL segments into its snapshot",
 		func(w http.ResponseWriter, r *http.Request) {
 			results, err := reg.CompactAll()
@@ -241,11 +229,7 @@ func (b Backend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.InsertOut
 func toAPIResults(rs []service.Result) []api.Result {
 	out := make([]api.Result, len(rs))
 	for i, r := range rs {
-		out[i] = api.Result{Key: r.Key, Index: r.Index, Hit: r.Hit, Witness: r.Witness}
-		if r.Hit {
-			out[i].RepHex = r.Rep.Hex()
-			out[i].Rep = r.Rep
-		}
+		out[i] = api.Result{Key: r.Key, Index: r.Index, Hit: r.Hit, Rep: r.Rep, Witness: r.Witness}
 	}
 	return out
 }

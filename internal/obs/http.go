@@ -204,8 +204,9 @@ func statusClass(code int) string {
 }
 
 // statusRecorder captures the status code a handler writes. It preserves
-// http.Flusher — the NDJSON stream endpoint flushes between chunks — and
-// exposes Unwrap for http.ResponseController users.
+// http.Flusher, so a handler that streams its body can still flush
+// through the middleware, and exposes Unwrap for http.ResponseController
+// users.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int

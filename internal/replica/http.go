@@ -12,8 +12,7 @@ import (
 )
 
 // NewHandler returns the follower HTTP surface over f with the default
-// body bound for uploads and streams and no observability surface; see
-// NewHandlerOpts.
+// /v2/map upload bound and no observability surface; see NewHandlerOpts.
 func NewHandler(f *Follower) http.Handler {
 	return NewHandlerOpts(f, federation.HandlerOptions{})
 }
@@ -23,15 +22,13 @@ func NewHandler(f *Follower) http.Handler {
 // federated handler, with the follower's read/write role distinction
 // threaded through every route:
 //
-//	POST /v2/classify (+ /stream)
-//	                   served from the local replicated stores; in proxy
+//	POST /v2/classify  served from the local replicated stores; in proxy
 //	                   mode, misses are re-asked of the primary through
 //	                   pkg/client and the answers merged (a fresh class
 //	                   the tail loop has not applied yet still hits).
 //	                   Primary unreachable: local answers stand — reads
 //	                   never fail over a dead primary.
-//	POST /v2/insert (+ /stream)
-//	                   proxy mode: forwarded to the primary
+//	POST /v2/insert    proxy mode: forwarded to the primary
 //	                   (primary_unreachable/502 when it is gone); local
 //	                   mode: read_only/403 — the follower is read-only.
 //	POST /v2/map       mapped locally; ?insert=true forwards the LUT
@@ -46,11 +43,11 @@ func NewHandler(f *Follower) http.Handler {
 //	                   tripped, so load balancers drain a follower that
 //	                   lost its primary.
 //
-// The observability surface is mounted exactly as on the primary
-// (federation.HandlerOptions.Mount); with Metrics set, GET /metrics also
-// carries the replication lag/sync/proxy series.
+// Classify and insert speak the JSON envelope and the binary frame, as
+// on the primary. The observability surface is mounted exactly as on
+// the primary (federation.HandlerOptions.Mount); with Metrics set, GET
+// /metrics also carries the replication lag/sync/proxy series.
 func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
-	maxBody := o.BodyLimit()
 	rt := api.NewRouter("follower")
 	reg := f.Registry()
 	o.Mount(rt, reg)
@@ -64,8 +61,6 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 		api.HandleClassify(b, jsonBody))
 	rt.Handle("POST", "/v2/insert", "insert forwarded to the primary (read_only in local mode)",
 		api.HandleInsert(b, jsonBody))
-	rt.Handle("POST", "/v2/classify/stream", "NDJSON streaming lookup", api.HandleClassifyStream(b, maxBody))
-	rt.Handle("POST", "/v2/insert/stream", "NDJSON streaming insert", api.HandleInsertStream(b, maxBody))
 	// A local-mode follower mounts no map-insert hook at all, so
 	// ?insert=true is refused before any mapping work; in proxy mode the
 	// discovered classes are forwarded to the primary.
@@ -74,7 +69,7 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 		mapInsert = b.Insert
 	}
 	rt.Handle("POST", "/v2/map", "map an ASCII-AIGER circuit to k-LUTs",
-		api.HandleMap(api.MapConfig{MaxBody: maxBody, Insert: mapInsert}))
+		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: mapInsert}))
 	rt.Handle("POST", "/v2/compact", "refused on a follower",
 		func(w http.ResponseWriter, r *http.Request) {
 			api.WriteError(w, api.Errf(api.CodeReadOnly,
@@ -183,9 +178,10 @@ func (b replicaBackend) Insert(ctx context.Context, fs []*tt.TT) ([]api.InsertOu
 
 // proxyMisses re-asks the primary about every miss in out and merges its
 // hits back in place. When the answers are unusable (primary unreachable,
-// response shape wrong, a malformed witness from a foreign primary) the
-// local misses stand — the graceful degradation that keeps a follower
-// serving when its primary is gone. Failures are counted in ProxyErrors.
+// response shape wrong, a malformed witness or representative from a
+// foreign primary) the local misses stand — the graceful degradation that
+// keeps a follower serving when its primary is gone. Failures are counted
+// in ProxyErrors.
 func (f *Follower) proxyMisses(ctx context.Context, fs []*tt.TT, out []api.Result) {
 	var missIdx []int
 	var missFns []string
@@ -221,10 +217,14 @@ func (f *Follower) proxyMisses(ctx context.Context, fs []*tt.TT, out []api.Resul
 		}
 		key, kerr := strconv.ParseUint(it.Class, 16, 64)
 		tr, terr := it.Witness.Transform()
+		var rep *tt.TT
+		if terr == nil {
+			rep, terr = tt.FromHex(tr.N, it.Rep)
+		}
 		if kerr != nil || terr != nil {
 			f.proxyErrors.Add(1)
 			continue
 		}
-		out[i] = api.Result{Key: key, Index: *it.Index, Hit: true, RepHex: it.Rep, Witness: tr}
+		out[i] = api.Result{Key: key, Index: *it.Index, Hit: true, Rep: rep, Witness: tr}
 	}
 }

@@ -290,6 +290,27 @@ func TestFollowerProxyMode(t *testing.T) {
 	}
 }
 
+// TestFollowerProxyBadRep: a primary hit whose representative does not
+// parse at the witness's arity is handled like a malformed witness — the
+// local miss stands and the failure is counted in ProxyErrors.
+func TestFollowerProxyBadRep(t *testing.T) {
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		api.WriteJSON(w, http.StatusOK, json.RawMessage(`{"results":[{"function":"1ee1","hit":true,`+
+			`"class":"00000000000000aa","index":0,"rep":"zzzz",`+
+			`"witness":{"perm":[0,1,2,3],"neg_mask":0,"out_neg":false}}],"errors":0}`))
+	}))
+	t.Cleanup(primary.Close)
+	fol, fsrv := newFollower(t, primary.URL, replica.ModeProxy, 0)
+
+	cls := classify(t, fsrv.URL, []string{"1ee1"})
+	if cls.Results[0].Hit {
+		t.Fatalf("unparsable primary rep merged as a hit: %+v", cls.Results[0])
+	}
+	if fol.Stats().ProxyErrors != 1 {
+		t.Fatalf("ProxyErrors = %d, want 1", fol.Stats().ProxyErrors)
+	}
+}
+
 // TestFollowerReadOnlySurface: local mode refuses inserts and compaction
 // outright.
 func TestFollowerReadOnlySurface(t *testing.T) {

@@ -16,16 +16,12 @@ import (
 )
 
 // TestAPIKeySentOnEveryPath: WithAPIKey stamps the Authorization header
-// on both the buffered and the streaming request paths.
+// on every request path.
 func TestAPIKeySentOnEveryPath(t *testing.T) {
 	ctx := context.Background()
 	var got atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got.Store(r.Header.Get("Authorization"))
-		if r.URL.Path == "/v2/classify/stream" {
-			w.Write([]byte(`{"function":"e8e8"}` + "\n"))
-			return
-		}
 		w.Write([]byte(`{"results":[]}`))
 	}))
 	t.Cleanup(srv.Close)
@@ -36,14 +32,6 @@ func TestAPIKeySentOnEveryPath(t *testing.T) {
 	}
 	if got.Load() != "Bearer sekrit" {
 		t.Fatalf("classify Authorization = %q", got.Load())
-	}
-
-	err := c.ClassifyStream(ctx, []string{"e8e8"}, func(i int, it api.ClassifyItem) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != "Bearer sekrit" {
-		t.Fatalf("stream Authorization = %q", got.Load())
 	}
 }
 

@@ -3,8 +3,9 @@
 // examples/serve, the cmd-level end-to-end tests) and the one external
 // callers should embed. It speaks the typed envelopes of internal/api,
 // decodes the machine-readable error taxonomy into *api.Error values,
-// retries transient transport failures, streams NDJSON batches with
-// mid-stream resume, and replays witness certificates locally.
+// retries transient transport failures, sends batches longer than
+// api.MaxBatch as consecutive requests, and replays witness certificates
+// locally.
 //
 //	c := client.New("http://localhost:8080")
 //	resp, err := c.Insert(ctx, []string{"cafef00dcafef00d"})
@@ -110,8 +111,17 @@ func (c *Client) Base() string { return c.base }
 // envelope-level failures only. When every function's arity is
 // unambiguous the batch travels as a binary frame (docs/WIRE.md),
 // falling back to the JSON envelope — permanently, after one refusal —
-// against servers that do not speak it.
+// against servers that do not speak it. A batch longer than api.MaxBatch
+// goes out as consecutive requests of at most MaxBatch functions and
+// comes back as one response: results in input order, Errors summed. An
+// envelope error on any request fails the whole call.
 func (c *Client) Classify(ctx context.Context, fns []string) (*api.ClassifyResponse, error) {
+	if len(fns) > api.MaxBatch {
+		return inChunks(ctx, fns, c.Classify, func(into, chunk *api.ClassifyResponse) {
+			into.Results = append(into.Results, chunk.Results...)
+			into.Errors += chunk.Errors
+		})
+	}
 	if c.useBinary() {
 		if fs, ok := parseBinaryBatch(fns); ok {
 			out, fallback, err := c.classifyBinary(ctx, fns, fs)
@@ -131,8 +141,17 @@ func (c *Client) Classify(ctx context.Context, fns []string) (*api.ClassifyRespo
 }
 
 // Insert inserts a batch of hex truth tables via POST /v2/insert,
-// negotiating the transport exactly as Classify does.
+// negotiating the transport and splitting long batches exactly as
+// Classify does. When a later request of a split batch fails, the
+// functions of the earlier ones stay inserted; sending the batch again
+// is safe, since inserting a stored function changes nothing.
 func (c *Client) Insert(ctx context.Context, fns []string) (*api.InsertResponse, error) {
+	if len(fns) > api.MaxBatch {
+		return inChunks(ctx, fns, c.Insert, func(into, chunk *api.InsertResponse) {
+			into.Results = append(into.Results, chunk.Results...)
+			into.Errors += chunk.Errors
+		})
+	}
 	if c.useBinary() {
 		if fs, ok := parseBinaryBatch(fns); ok {
 			out, fallback, err := c.insertBinary(ctx, fns, fs)
@@ -147,6 +166,22 @@ func (c *Client) Insert(ctx context.Context, fns []string) (*api.InsertResponse,
 	var out api.InsertResponse
 	if err := c.postJSON(ctx, "/v2/insert", api.BatchRequest{Functions: fns}, &out); err != nil {
 		return nil, err
+	}
+	return &out, nil
+}
+
+// inChunks sends fns through send as consecutive requests of at most
+// api.MaxBatch functions and merges the responses in order.
+func inChunks[R any](ctx context.Context, fns []string, send func(context.Context, []string) (*R, error), merge func(into, chunk *R)) (*R, error) {
+	var out R
+	for len(fns) > 0 {
+		n := min(len(fns), api.MaxBatch)
+		resp, err := send(ctx, fns[:n])
+		if err != nil {
+			return nil, err
+		}
+		merge(&out, resp)
+		fns = fns[n:]
 	}
 	return &out, nil
 }

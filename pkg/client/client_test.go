@@ -2,19 +2,16 @@
 // server role it claims to speak to — a single-arity server (a one-arity
 // federation), a federated registry, and a replication follower in both
 // -follow-modes —
-// including mid-batch per-item errors, NDJSON streaming, and streaming
-// resume across a dropped connection.
+// including mid-batch per-item errors and batches longer than
+// api.MaxBatch.
 package client_test
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,147 +288,86 @@ func TestFollowerProxyMode(t *testing.T) {
 	}
 }
 
-// TestStreamRoundTrip pushes a batch bigger than one server chunk
-// through both NDJSON endpoints and checks order, completeness and
-// inline per-item errors.
-func TestStreamRoundTrip(t *testing.T) {
+// TestLongBatchSplits sends a batch longer than api.MaxBatch, with one
+// bad function past the first request's share, through Insert and then
+// Classify: each call goes out as exactly two requests and comes back as
+// one response, results in input order with the errors summed.
+func TestLongBatchSplits(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(85))
-	c := newFederated(t)
-
-	n := api.StreamChunk + 37
-	fns := make([]string, n)
-	for i := range fns {
-		fns[i] = tt.Random(4+(i%3), rng).Hex()
-	}
-	badAt := api.StreamChunk + 3
-	fns[badAt] = "zzzz"
-
-	got := 0
-	err := c.InsertStream(ctx, fns, func(i int, item api.InsertItem) error {
-		if i != got {
-			t.Fatalf("insert stream out of order: got index %d, want %d", i, got)
-		}
-		got++
-		if i == badAt {
-			if item.Error == nil || item.Error.Code != api.CodeBadHex {
-				t.Fatalf("bad item %d: %+v", i, item)
-			}
-		} else if item.Error != nil {
-			t.Fatalf("item %d: %+v", i, item.Error)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("insert stream delivered %d of %d", got, n)
-	}
-
-	got = 0
-	err = c.ClassifyStream(ctx, fns, func(i int, item api.ClassifyItem) error {
-		got++
-		if i == badAt {
-			return nil
-		}
-		if !item.Hit {
-			t.Fatalf("item %d missed after insert stream", i)
-		}
-		return client.ReplayWitness(item)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Fatalf("classify stream delivered %d of %d", got, n)
-	}
-}
-
-// truncating wraps a handler and serves only the first cutLines response
-// lines of the first streaming request, simulating a connection that
-// drops mid-stream; later requests pass through untouched.
-type truncating struct {
-	inner    http.Handler
-	cutLines int
-
-	mu       sync.Mutex
-	requests []int // functions per streaming request body
-}
-
-func (tr *truncating) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasSuffix(r.URL.Path, "/stream") {
-		tr.inner.ServeHTTP(w, r)
-		return
-	}
-	body, _ := io.ReadAll(r.Body)
-	nFns := len(strings.Fields(string(body)))
-	tr.mu.Lock()
-	tr.requests = append(tr.requests, nFns)
-	first := len(tr.requests) == 1
-	tr.mu.Unlock()
-
-	rec := httptest.NewRecorder()
-	req := r.Clone(r.Context())
-	req.Body = io.NopCloser(strings.NewReader(string(body)))
-	tr.inner.ServeHTTP(rec, req)
-	if !first {
-		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
-		w.WriteHeader(rec.Code)
-		io.Copy(w, rec.Body)
-		return
-	}
-	lines := strings.SplitAfter(rec.Body.String(), "\n")
-	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
-	w.WriteHeader(rec.Code)
-	for i := 0; i < tr.cutLines && i < len(lines); i++ {
-		io.WriteString(w, lines[i])
-	}
-	// Returning here closes the response short of one line per input:
-	// the client must notice and resume from the boundary.
-}
-
-// TestStreamResume: the first streaming attempt dies after 10 result
-// lines; the client resumes with the unanswered suffix and the caller
-// sees every index exactly once.
-func TestStreamResume(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(86))
 	reg, err := federation.New(4, 6, federation.Options{Store: store.Options{Shards: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &truncating{inner: federation.NewHandler(reg), cutLines: 10}
-	srv := httptest.NewServer(tr)
+	var mu sync.Mutex
+	requests := map[string]int{}
+	inner := federation.NewHandler(reg)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests[r.URL.Path]++
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
-	c := client.New(srv.URL, client.WithBackoff(time.Millisecond))
+	c := client.New(srv.URL)
 
-	n := 25
+	n := api.MaxBatch + 37
 	fns := make([]string, n)
 	for i := range fns {
-		fns[i] = tt.Random(5, rng).Hex()
+		fns[i] = tt.Random(4+(i%3), rng).Hex()
 	}
-	seen := make([]bool, n)
-	err = c.InsertStream(ctx, fns, func(i int, item api.InsertItem) error {
-		if seen[i] {
-			return fmt.Errorf("index %d delivered twice", i)
-		}
-		seen[i] = true
-		if item.Function != fns[i] {
-			return fmt.Errorf("index %d answered for %q, want %q", i, item.Function, fns[i])
-		}
-		return nil
-	})
+	badAt := api.MaxBatch + 3
+	fns[badAt] = "zzzz"
+
+	ins, err := c.Insert(ctx, fns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("index %d never delivered", i)
+	if len(ins.Results) != n || ins.Errors != 1 {
+		t.Fatalf("insert: %d results, %d errors; want %d, 1", len(ins.Results), ins.Errors, n)
+	}
+	for i, it := range ins.Results {
+		if it.Function != fns[i] {
+			t.Fatalf("insert result %d answers %q, want %q", i, it.Function, fns[i])
+		}
+		if i == badAt {
+			if it.Error == nil || it.Error.Code != api.CodeBadHex {
+				t.Fatalf("bad item %d: %+v", i, it)
+			}
+		} else if it.Error != nil {
+			t.Fatalf("item %d: %+v", i, it.Error)
 		}
 	}
-	if len(tr.requests) != 2 || tr.requests[0] != n || tr.requests[1] != n-10 {
-		t.Fatalf("resume requests %v, want [%d %d]", tr.requests, n, n-10)
+
+	cls, err := c.Classify(ctx, fns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cls.Results) != n || cls.Errors != 1 {
+		t.Fatalf("classify: %d results, %d errors; want %d, 1", len(cls.Results), cls.Errors, n)
+	}
+	for i, it := range cls.Results {
+		if it.Function != fns[i] {
+			t.Fatalf("classify result %d answers %q, want %q", i, it.Function, fns[i])
+		}
+		if i == badAt {
+			if it.Error == nil || it.Error.Code != api.CodeBadHex {
+				t.Fatalf("bad item %d: %+v", i, it)
+			}
+			continue
+		}
+		if !it.Hit {
+			t.Fatalf("item %d missed after insert", i)
+		}
+		if err := client.ReplayWitness(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if requests["/v2/insert"] != 2 || requests["/v2/classify"] != 2 {
+		t.Fatalf("requests per path %v, want 2 to each of /v2/insert and /v2/classify", requests)
 	}
 }
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # api-parity.sh — drive the same insert/classify flow through the two
-# /v2 text transports of a real npnserve process — the buffered JSON
-# batch and the NDJSON stream — and diff the semantic results, then
-# assert the per-item error contract, the JSON 404/405 fallbacks and the
-# content-type gate, and smoke the /v2/map and /v2/spec endpoints.
+# /v2 request transports of a real npnserve process — the JSON envelope
+# and the binary frame, both answered in JSON — and diff the semantic
+# results, then assert the per-item error contract, the JSON 404/405
+# fallbacks and the content-type gate, that the removed /v2/*/stream
+# routes answer not_found, and smoke the /v2/map and /v2/spec endpoints.
 #
 # Usage: scripts/api-parity.sh [path-to-npnserve-binary]
 # Requires: curl, jq.
@@ -28,11 +29,29 @@ FNS='{"functions":["1ee1","cafef00dcafef00d","e8","96969696"]}'
 # Output-complemented NPN variants of the inserted functions.
 VARS='{"functions":["e11e","35010ff235010ff2","17","69696969"]}'
 
-# stream POSTs a batch body's functions to an NDJSON endpoint, one per
-# line, and slurps the answer lines into a JSON array.
-stream() {
-  echo "$2" | jq -r '.functions[]' | \
-    curl -sf -X POST -H 'Content-Type: application/x-ndjson' "$BASE$1" --data-binary @- | jq -s '.'
+# frame writes the binary request frame (docs/WIRE.md) of a batch body's
+# functions: 'NB', version 1, flags 0, the count, then per function its
+# arity byte and its table bytes, least significant first — the hex
+# digit pairs in reverse order. Every function here has at least 2 hex
+# digits, so its arity is log2(digits) + 2.
+frame() {
+  local fn n i esc
+  local -a fns
+  mapfile -t fns < <(echo "$1" | jq -r '.functions[]')
+  esc='NB\x01\x00'$(printf '\\x%02x' "${#fns[@]}")
+  for fn in "${fns[@]}"; do
+    n=2
+    while (( (1 << (n - 2)) < ${#fn} )); do n=$((n + 1)); done
+    esc+=$(printf '\\x%02x' "$n")
+    for (( i = ${#fn} - 2; i >= 0; i -= 2 )); do esc+="\\x${fn:i:2}"; done
+  done
+  printf "$esc"
+}
+
+# binpost POSTs a batch body's functions as a binary frame and prints the
+# JSON response.
+binpost() {
+  frame "$2" | curl -sf -X POST -H 'Content-Type: application/x-npn-binary' "$BASE$1" --data-binary @-
 }
 
 # --- The same flow through both transports must agree semantically. ---
@@ -42,14 +61,14 @@ stream() {
 # result row.
 norm_ins='map({function, class, index})'
 JSON_INS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/insert" -d "$FNS" | jq ".results | $norm_ins")
-NDJSON_INS=$(stream /v2/insert/stream "$FNS" | jq "$norm_ins")
-diff <(echo "$JSON_INS") <(echo "$NDJSON_INS") || { echo "api-parity: JSON/NDJSON insert results diverge"; exit 1; }
+BIN_INS=$(binpost /v2/insert "$FNS" | jq ".results | $norm_ins")
+diff <(echo "$JSON_INS") <(echo "$BIN_INS") || { echo "api-parity: JSON/binary insert results diverge"; exit 1; }
 echo "$JSON_INS" | jq -e 'length == 4 and all(.class != null and .index >= 0)' >/dev/null \
   || { echo "api-parity: inserts not stored: $JSON_INS"; exit 1; }
 
 JSON_CLS=$(curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$VARS" | jq '.results')
-NDJSON_CLS=$(stream /v2/classify/stream "$VARS")
-diff <(echo "$JSON_CLS") <(echo "$NDJSON_CLS") || { echo "api-parity: JSON/NDJSON classify results diverge"; exit 1; }
+BIN_CLS=$(binpost /v2/classify "$VARS" | jq '.results')
+diff <(echo "$JSON_CLS") <(echo "$BIN_CLS") || { echo "api-parity: JSON/binary classify results diverge"; exit 1; }
 echo "$JSON_CLS" | jq -e 'all(.hit)' >/dev/null || { echo "api-parity: inserted classes did not hit"; exit 1; }
 
 # --- The per-item error contract. -------------------------------------
@@ -66,12 +85,12 @@ ALLOW=$(curl -s -o /dev/null -D - "$BASE/v2/classify" | tr -d '\r' | awk -F': ' 
 UMT=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: text/csv' "$BASE/v2/classify" -d "$FNS")
 [ "$UMT" = "415" ] || { echo "api-parity: wrong content type returned $UMT, want 415"; exit 1; }
 
-# --- NDJSON streaming answers one line per input, in order. -----------
-STREAM=$(printf '8bb8\nzzzz\nf00dcafef00dcafe\n' | \
-  curl -sf -X POST -H 'Content-Type: application/x-ndjson' "$BASE/v2/classify/stream" --data-binary @-)
-[ "$(echo "$STREAM" | wc -l)" = "3" ] || { echo "api-parity: stream line count: $STREAM"; exit 1; }
-echo "$STREAM" | sed -n 2p | jq -e '.error.code == "bad_hex"' >/dev/null \
-  || { echo "api-parity: stream per-item error missing: $STREAM"; exit 1; }
+# --- The /v2/*/stream routes are gone. --------------------------------
+for route in /v2/classify/stream /v2/insert/stream; do
+  GONE=$(curl -s -w ' %{http_code}' -X POST -H 'Content-Type: application/json' "$BASE$route" -d "$FNS")
+  [ "${GONE##* }" = "404" ] && echo "${GONE% *}" | jq -e '.error.code == "not_found"' >/dev/null \
+    || { echo "api-parity: $route answered '$GONE', want 404 not_found"; exit 1; }
+done
 
 # --- /v2/map: a real circuit, verified, census included, store warmed. -
 AAG=$(mktemp)
@@ -98,7 +117,7 @@ curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$WA
 
 # --- /v2/spec self-describes every headline route. --------------------
 SPEC=$(curl -sf "$BASE/v2/spec")
-for route in /v2/classify /v2/insert /v2/classify/stream /v2/insert/stream /v2/map /v2/compact /v2/stats /v2/spec /healthz; do
+for route in /v2/classify /v2/insert /v2/map /v2/compact /v2/stats /v2/spec /healthz; do
   echo "$SPEC" | jq -e --arg p "$route" '.routes | map(.pattern) | index($p) != null' >/dev/null \
     || { echo "api-parity: spec is missing $route"; exit 1; }
 done
@@ -114,4 +133,4 @@ while read -r method pattern; do
   fi
 done < <(echo "$SPEC" | jq -r '.routes[] | "\(.method) \(.pattern)"')
 
-echo "api-parity: OK (JSON/NDJSON agree; per-item errors, fallbacks, streaming, map and spec verified)"
+echo "api-parity: OK (JSON/binary agree; per-item errors, fallbacks, removed stream routes, map and spec verified)"
