@@ -490,10 +490,9 @@ func storeLookupWorkloads(n int) (stored [2][]*tt.TT, disguises []*tt.TT, misses
 // length-framed binary format of docs/WIRE.md, same warm one-arity
 // federation, same 16-function batch of NPN-disguised hits per request. Each
 // sub-benchmark reports the payload sizes as req-B and resp-B metrics, so
-// BENCH_lookup.json can record the bytes-on-wire delta next to the ns/op
-// delta. The binary rows measure the full stack — codec, negotiation,
-// handler, store — not the codec in isolation (that cost is bounded by
-// TestBinaryCodecAllocs).
+// the bytes-on-wire delta reads next to the ns/op delta. The binary rows
+// measure the full stack — codec, negotiation, handler, store — not the
+// codec in isolation (that cost is bounded by TestBinaryCodecAllocs).
 func BenchmarkTransportClassify(b *testing.B) {
 	const batch = 16
 	for _, n := range []int{6, 8} {

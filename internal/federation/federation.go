@@ -45,7 +45,7 @@ const MinFederatedArity = 2
 // Options configures every per-arity service in a Registry.
 type Options struct {
 	// Store configures each arity's backing store (shards, MSV config,
-	// profile cache).
+	// read-only).
 	Store store.Options
 	// Service configures each arity's pipeline (workers, LRU capacity).
 	Service service.Options

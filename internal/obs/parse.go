@@ -12,9 +12,9 @@ import (
 
 // This file is the scrape side of the exposition format: a parser for the
 // Prometheus text format the registry renders. pkg/client's Metrics()
-// helper, the E2E tests and the bench-trajectory loadgen all read a live
-// server through it, and the registry's own golden-file test round-trips
-// Render output through Parse to lint the exposition.
+// helper and the E2E tests read a live server through it, and the
+// registry's own golden-file test round-trips Render output through Parse
+// to lint the exposition.
 
 // Sample is one parsed series: a metric name (including any _bucket /
 // _sum / _count suffix), its label set and the value.

@@ -407,7 +407,7 @@ type Stats struct {
 
 	// Representative-profile cache counters from the store: hits reuse a
 	// memoized matcher profile, misses build one, entries count memoized
-	// profiles. All zero when the store's profile cache is disabled.
+	// profiles.
 	ProfileHits    int64 `json:"profile_hits"`
 	ProfileMisses  int64 `json:"profile_misses"`
 	ProfileEntries int64 `json:"profile_entries"`
