@@ -4,9 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/npn"
+	"repro/internal/replica"
 	"repro/internal/tt"
 	"repro/pkg/client"
 )
@@ -16,7 +19,10 @@ import (
 // in through one /v2/insert batch on a durable server with per-append
 // fsync. Then they are classified in a seeded order over the binary frame
 // and over JSON on that server, on a second server recovered from its WAL,
-// and on a third recovered after /v2/compact. Every answer must hit, its
+// and on a third recovered after /v2/compact. Two replication followers
+// are checked the same way: one that tails the inserting server's WAL
+// segments (store.ApplyLogRecord) and one that bootstraps from the third
+// server's snapshot (store.ApplySnapshot). Every answer must hit, its
 // witness must replay, its (class, index) must be the one the insert
 // returned, and the identities must form a bijection onto the 222
 // npn.ExactCanon forms.
@@ -108,6 +114,29 @@ func TestExhaustive4VarServedOracle(t *testing.T) {
 	}
 	check(c, "inserting server")
 
+	// followerOf syncs a fresh follower of primary once and serves it.
+	// Local mode answers misses itself instead of asking the primary, so a
+	// class the follower failed to apply fails the check.
+	followerOf := func(primary *client.Client) *client.Client {
+		t.Helper()
+		fcfg := config{arities: "4", follow: primary.Base(), followMode: "local", followInterval: time.Hour}
+		fol, err := buildFollower(fcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fol.SyncOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		fopts, err := fcfg.handlerOptions(fol.Registry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(replica.NewHandlerOpts(fol, fopts))
+		t.Cleanup(srv.Close)
+		return client.New(srv.URL)
+	}
+	check(followerOf(c), "follower tailing the WAL")
+
 	// SIGKILL: the first server's registry is simply abandoned.
 	c2, _ := startServer(t, cfg)
 	check(c2, "restart from the WAL")
@@ -117,4 +146,5 @@ func TestExhaustive4VarServedOracle(t *testing.T) {
 	}
 	c3, _ := startServer(t, cfg)
 	check(c3, "restart after compaction")
+	check(followerOf(c3), "follower bootstrapped from the snapshot")
 }

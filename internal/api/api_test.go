@@ -193,6 +193,37 @@ func TestDecodeBatchEnvelope(t *testing.T) {
 	if rec.Code != 413 || decodeEnvelope(t, rec.Body.Bytes()).Code != CodeBodyTooLarge {
 		t.Fatalf("body_too_large: %d %s", rec.Code, rec.Body)
 	}
+
+	// A JSON body is exactly one envelope on both batch handlers: bytes
+	// after it fail the whole request, trailing whitespace aside, and a
+	// trailing read past the byte bound is still body_too_large.
+	for _, hd := range []struct {
+		path string
+		h    http.HandlerFunc
+	}{
+		{"/v2/classify", h},
+		{"/v2/insert", HandleInsert(b, 1<<16)},
+	} {
+		for _, tc := range []struct {
+			name       string
+			body       string
+			wantStatus int
+			wantCode   Code
+		}{
+			{"second envelope", `{"functions":["1ee1"]}{"functions":["zz"]}`, 400, CodeBadRequest},
+			{"trailing garbage", `{"functions":["1ee1"]} x`, 400, CodeBadRequest},
+			{"trailing whitespace ok", "{\"functions\":[\"1ee1\"]}\r\n\t ", 200, ""},
+			{"trailing bytes past the bound", `{"functions":["1ee1"]}` + strings.Repeat(" ", 1<<17), 413, CodeBodyTooLarge},
+		} {
+			rec := postReq(hd.h, hd.path, "application/json", tc.body)
+			if rec.Code != tc.wantStatus {
+				t.Fatalf("%s %s: status %d, want %d (%s)", hd.path, tc.name, rec.Code, tc.wantStatus, rec.Body)
+			}
+			if tc.wantCode != "" && decodeEnvelope(t, rec.Body.Bytes()).Code != tc.wantCode {
+				t.Fatalf("%s %s: %s", hd.path, tc.name, rec.Body)
+			}
+		}
+	}
 }
 
 // TestPerItemErrors: a bad function fails only its own item, and an

@@ -102,6 +102,15 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 		writeBodyError(w, err)
 		return batch{}, false
 	}
+	// The envelope must be the whole body: a second value after it would
+	// otherwise be dropped unanswered. Trailing whitespace is fine.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request envelope")
+		}
+		writeBodyError(w, err)
+		return batch{}, false
+	}
 	if len(req.Functions) == 0 {
 		WriteError(w, Errf(CodeBadRequest, "functions must be a non-empty array of hex truth tables"))
 		return batch{}, false

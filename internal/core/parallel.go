@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
+	"repro/internal/par"
 	"repro/internal/tt"
 )
 
@@ -14,69 +12,31 @@ import (
 // sequential. The result is identical to Classify. The paper's testbed is a
 // 20-core machine; this is the corresponding throughput mode.
 func ClassifyParallel(n int, cfg Config, fs []*tt.TT, workers int) *Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(fs) {
-		workers = len(fs)
-	}
-	if workers <= 1 {
-		return New(n, cfg).Classify(fs)
-	}
-
 	type keyed struct {
 		hash uint64
 		key  string // only populated in strict mode
 	}
 	keys := make([]keyed, len(fs))
-	var wg sync.WaitGroup
-	chunk := (len(fs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(fs) {
-			hi = len(fs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			cls := New(n, cfg)
-			for i := lo; i < hi; i++ {
-				if cfg.StrictKeys {
-					keys[i].key = string(cls.KeyBytes(fs[i]))
-				} else {
-					keys[i].hash = cls.Hash(fs[i])
-				}
+	par.Chunks(len(fs), workers, func(lo, hi int) {
+		cls := New(n, cfg)
+		for i := lo; i < hi; i++ {
+			if cfg.StrictKeys {
+				keys[i].key = string(cls.KeyBytes(fs[i]))
+			} else {
+				keys[i].hash = cls.Hash(fs[i])
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 
 	r := &Result{ClassOf: make([]int, len(fs))}
-	if cfg.StrictKeys {
-		ids := make(map[string]int)
-		for i := range fs {
-			id, ok := ids[keys[i].key]
-			if !ok {
-				id = len(ids)
-				ids[keys[i].key] = id
-				r.Sizes = append(r.Sizes, 0)
-			}
-			r.ClassOf[i] = id
-			r.Sizes[id]++
-		}
-		r.NumClasses = len(ids)
-		return r
-	}
-	ids := make(map[uint64]int)
-	for i := range fs {
-		id, ok := ids[keys[i].hash]
+	// One bucket per distinct keyed value: the unused field is zero in
+	// every entry, so equality is by hash, or by full key in strict mode.
+	ids := make(map[keyed]int)
+	for i, k := range keys {
+		id, ok := ids[k]
 		if !ok {
 			id = len(ids)
-			ids[keys[i].hash] = id
+			ids[k] = id
 			r.Sizes = append(r.Sizes, 0)
 		}
 		r.ClassOf[i] = id

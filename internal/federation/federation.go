@@ -27,11 +27,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/tt"
@@ -80,17 +80,6 @@ type Registry struct {
 	obsRegistered bool
 
 	compactMu sync.Mutex // serializes CompactAll passes
-
-	// metaCache memoizes immutable segment header meta words for the
-	// replication manifest (replication.go).
-	metaMu    sync.Mutex
-	metaCache map[metaKey]uint64
-}
-
-// metaKey identifies one segment of one arity in the meta cache.
-type metaKey struct {
-	arity int
-	seq   uint64
 }
 
 // New returns a registry federating arities lo..hi inclusive.
@@ -101,9 +90,8 @@ func New(lo, hi int, o Options) (*Registry, error) {
 	}
 	return &Registry{
 		lo: lo, hi: hi, opts: o,
-		svcs:      make([]*service.Service, hi-lo+1),
-		writers:   make([]*wal.Writer, hi-lo+1),
-		metaCache: make(map[metaKey]uint64),
+		svcs:    make([]*service.Service, hi-lo+1),
+		writers: make([]*wal.Writer, hi-lo+1),
 	}, nil
 }
 
@@ -278,44 +266,6 @@ func (r *Registry) Active() []int {
 	return out
 }
 
-// group is one arity's slice of a mixed batch: the functions and their
-// positions in the input.
-type group struct {
-	svc *service.Service
-	fs  []*tt.TT
-	idx []int
-}
-
-// route partitions a mixed-arity batch by arity, constructing each needed
-// service, and returns the groups in increasing arity order.
-func (r *Registry) route(fs []*tt.TT) ([]group, error) {
-	byArity := make(map[int]*group)
-	for i, f := range fs {
-		n := f.NumVars()
-		g, ok := byArity[n]
-		if !ok {
-			svc, err := r.Service(n)
-			if err != nil {
-				return nil, fmt.Errorf("functions[%d]: %w", i, err)
-			}
-			g = &group{svc: svc}
-			byArity[n] = g
-		}
-		g.fs = append(g.fs, f)
-		g.idx = append(g.idx, i)
-	}
-	arities := make([]int, 0, len(byArity))
-	for n := range byArity {
-		arities = append(arities, n)
-	}
-	sort.Ints(arities)
-	out := make([]group, 0, len(arities))
-	for _, n := range arities {
-		out = append(out, *byArity[n])
-	}
-	return out, nil
-}
-
 // Classify looks up every function's class in its arity's service. The
 // batch may mix arities freely; results keep input order. It fails as a
 // whole if any function's arity is outside the federated range.
@@ -328,16 +278,7 @@ func (r *Registry) Classify(fs []*tt.TT) ([]service.Result, error) {
 // federation.route span, and each arity group's pipeline spans nest
 // beneath it.
 func (r *Registry) ClassifyCtx(ctx context.Context, fs []*tt.TT) ([]service.Result, error) {
-	out := make([]service.Result, len(fs))
-	err := r.fanOut(ctx, fs, func(ctx context.Context, g group) {
-		for j, res := range g.svc.ClassifyCtx(ctx, g.fs) {
-			out[g.idx[j]] = res
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return route(ctx, r, fs, (*service.Service).ClassifyCtx)
 }
 
 // Insert adds every function's class if absent, routed by arity. Results
@@ -349,43 +290,54 @@ func (r *Registry) Insert(fs []*tt.TT) ([]service.InsertResult, error) {
 // InsertCtx is Insert with the request context threaded through for
 // tracing; see ClassifyCtx.
 func (r *Registry) InsertCtx(ctx context.Context, fs []*tt.TT) ([]service.InsertResult, error) {
-	out := make([]service.InsertResult, len(fs))
-	err := r.fanOut(ctx, fs, func(ctx context.Context, g group) {
-		for j, res := range g.svc.InsertCtx(ctx, g.fs) {
-			out[g.idx[j]] = res
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return route(ctx, r, fs, (*service.Service).InsertCtx)
 }
 
-// fanOut routes the batch and runs fn once per arity group, groups in
-// parallel (each group's service fans its sub-batch across its own worker
-// pool), all under one federation.route span.
-func (r *Registry) fanOut(ctx context.Context, fs []*tt.TT, fn func(context.Context, group)) error {
+// route is the routing skeleton classify and insert share. It partitions
+// a mixed-arity batch by arity, constructing each needed service, and runs
+// op once per arity group under one federation.route span: a lone group
+// on the caller's goroutine, several concurrently (each group's service
+// fans its sub-batch across its own worker pool). Results are scattered
+// back into input order.
+func route[R any](ctx context.Context, r *Registry, fs []*tt.TT,
+	op func(*service.Service, context.Context, []*tt.TT) []R) ([]R, error) {
 	ctx, sp := obs.StartSpan(ctx, "federation.route")
 	defer sp.End()
-	groups, err := r.route(fs)
-	if err != nil {
-		return err
+	type group struct {
+		svc *service.Service
+		fs  []*tt.TT
+		idx []int // positions in fs
 	}
-	sp.SetInt("groups", int64(len(groups)))
-	if len(groups) == 1 {
-		fn(ctx, groups[0])
-		return nil
+	// Indexed by arity, so the groups come out in increasing arity order.
+	groups := make([]group, r.hi-r.lo+1)
+	for i, f := range fs {
+		k := f.NumVars() - r.lo
+		if k < 0 || k >= len(groups) || groups[k].svc == nil {
+			svc, err := r.Service(f.NumVars())
+			if err != nil {
+				return nil, fmt.Errorf("functions[%d]: %w", i, err)
+			}
+			groups[k].svc = svc
+		}
+		groups[k].fs = append(groups[k].fs, f)
+		groups[k].idx = append(groups[k].idx, i)
 	}
-	var wg sync.WaitGroup
+	live := groups[:0]
 	for _, g := range groups {
-		wg.Add(1)
-		go func(g group) {
-			defer wg.Done()
-			fn(ctx, g)
-		}(g)
+		if g.svc != nil {
+			live = append(live, g)
+		}
 	}
-	wg.Wait()
-	return nil
+	sp.SetInt("groups", int64(len(live)))
+	out := make([]R, len(fs))
+	par.Chunks(len(live), len(live), func(lo, hi int) {
+		for _, g := range live[lo:hi] {
+			for j, res := range op(g.svc, ctx, g.fs) {
+				out[g.idx[j]] = res
+			}
+		}
+	})
+	return out, nil
 }
 
 // Totals aggregates counters across every active arity.

@@ -119,8 +119,11 @@ func (r *Registry) Manifest() (Manifest, error) {
 			Segments:    []SegmentInfo{},
 		}
 		for _, s := range segs {
-			meta, ok := r.segmentMeta(n, s)
-			if !ok {
+			meta, err := wal.ReadSegmentMeta(s.Path)
+			if err != nil {
+				// The file vanished (or tore) between listing and the
+				// read — a compaction race the follower's next poll
+				// resolves.
 				continue
 			}
 			size := s.Size
@@ -134,54 +137,12 @@ func (r *Registry) Manifest() (Manifest, error) {
 				Sealed: s.Seq < activeSeq,
 			})
 		}
-		r.pruneMetaCache(n, am.Segments)
 		if info, err := os.Stat(filepath.Join(dir, wal.SnapshotFile)); err == nil {
 			am.HasSnapshot, am.SnapshotBytes = true, info.Size()
 		}
 		m.Arities = append(m.Arities, am)
 	}
 	return m, nil
-}
-
-// segmentMeta returns a segment's header meta word through the
-// registry's cache: the word is immutable and sequences are never
-// reused, so each segment's header is read from disk at most once per
-// process instead of once per follower poll. ok is false when the file
-// vanished (or tore) between listing and the read — a compaction race
-// the follower's next poll resolves.
-func (r *Registry) segmentMeta(n int, s wal.Segment) (uint64, bool) {
-	key := metaKey{arity: n, seq: s.Seq}
-	r.metaMu.Lock()
-	meta, ok := r.metaCache[key]
-	r.metaMu.Unlock()
-	if ok {
-		return meta, true
-	}
-	meta, err := wal.ReadSegmentMeta(s.Path)
-	if err != nil {
-		return 0, false
-	}
-	r.metaMu.Lock()
-	r.metaCache[key] = meta
-	r.metaMu.Unlock()
-	return meta, true
-}
-
-// pruneMetaCache drops cached meta words for arity n's segments that are
-// no longer listed (compacted away), keeping the cache bounded by the
-// live segment count.
-func (r *Registry) pruneMetaCache(n int, listed []SegmentInfo) {
-	live := make(map[uint64]bool, len(listed))
-	for _, s := range listed {
-		live[s.Seq] = true
-	}
-	r.metaMu.Lock()
-	for key := range r.metaCache {
-		if key.arity == n && !live[key.seq] {
-			delete(r.metaCache, key)
-		}
-	}
-	r.metaMu.Unlock()
 }
 
 // walError writes the replication feed's flat {"error": "..."} body. The

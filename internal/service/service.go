@@ -5,10 +5,10 @@
 // stats snapshot. The pipeline is transport-agnostic: internal/federation
 // serves one Service per arity over HTTP, and it is usable in-process.
 //
-// Batches are split into contiguous chunks, one per worker, mirroring
-// core.ClassifyParallel: signature hashing dominates and is embarrassingly
-// parallel because every store operation borrows a private engine pair.
-// Results keep the input order.
+// Batches are split into contiguous chunks, one per worker, by
+// par.Chunks: signature hashing dominates and is embarrassingly parallel
+// because every store operation borrows a private engine pair. Results
+// keep the input order.
 //
 // Duplicate keys within one batch are grouped before the store is
 // touched: N copies of the same function cost one lookup or insert, and
@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/npn"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/store"
 	"repro/internal/tt"
 )
@@ -143,53 +144,15 @@ func (s *Service) Classify(fs []*tt.TT) []Result {
 // its LRU outcome. With tracing off every span is nil and the cost is a
 // context lookup.
 func (s *Service) ClassifyCtx(ctx context.Context, fs []*tt.TT) []Result {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	start := time.Now()
-	ctx, batch := obs.StartSpan(ctx, "service.batch")
-	batch.SetAttr("op", "classify")
-	batch.SetInt("size", int64(len(fs)))
-	out := make([]Result, len(fs))
-	uniq, firstOf := dedupBatch(fs)
-	batch.SetInt("unique", int64(len(uniq)))
-	// The queue span opens before the fan-out and is closed by whichever
-	// worker goroutine runs first: its duration is the time the batch
-	// spent waiting for pool capacity rather than doing work.
-	_, queue := obs.StartSpan(ctx, "service.queue")
-	var queueOnce sync.Once
-	s.fanOut(len(uniq), func(i int) {
-		if queue != nil {
-			queueOnce.Do(queue.End)
+	return runBatch(ctx, s, "classify", &s.lookups, fs, s.classifyOne, func(r Result) Result {
+		// A later copy is one more hit or miss in the counters.
+		if r.Hit {
+			s.hits.Add(1)
+		} else {
+			s.misses.Add(1)
 		}
-		j := uniq[i]
-		out[j] = s.classifyOne(ctx, fs[j])
+		return r
 	})
-	if queue != nil {
-		queueOnce.Do(queue.End) // empty batch: nothing ever ran
-	}
-	if firstOf != nil {
-		for i, j := range firstOf {
-			if j == i {
-				continue
-			}
-			out[i] = out[j]
-			if out[i].Hit {
-				s.hits.Add(1)
-			} else {
-				s.misses.Add(1)
-			}
-		}
-		s.deduped.Add(int64(len(fs) - len(uniq)))
-	}
-	s.lookups.Add(int64(len(fs)))
-	s.batches.Add(1)
-	d := time.Since(start)
-	s.latencyNS.Add(d.Nanoseconds())
-	if s.observeBatch != nil {
-		s.observeBatch("classify", len(fs), d)
-	}
-	batch.End()
-	return out
 }
 
 // Insert adds every function's class if absent, fanning the batch across
@@ -201,56 +164,60 @@ func (s *Service) Insert(fs []*tt.TT) []InsertResult {
 // InsertCtx is Insert with the request context threaded through for
 // tracing; see ClassifyCtx for the span layout.
 func (s *Service) InsertCtx(ctx context.Context, fs []*tt.TT) []InsertResult {
+	return runBatch(ctx, s, "insert", &s.inserts, fs, s.insertOne, func(r InsertResult) InsertResult {
+		// The first copy founded (or found) the class; later copies of the
+		// same function are by definition not new.
+		r.New = false
+		return r
+	})
+}
+
+// runBatch is the batch skeleton classify and insert share. It runs one on
+// every unique function of fs across the worker pool and answers each
+// later copy of a function with copyOf(its first copy's result). It keeps
+// the inflight gauge, the service.batch and service.queue spans and the
+// batch counters; total is the operation's own counter of functions.
+func runBatch[R any](ctx context.Context, s *Service, op string, total *atomic.Int64, fs []*tt.TT,
+	one func(context.Context, *tt.TT) R, copyOf func(R) R) []R {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	start := time.Now()
 	ctx, batch := obs.StartSpan(ctx, "service.batch")
-	batch.SetAttr("op", "insert")
+	batch.SetAttr("op", op)
 	batch.SetInt("size", int64(len(fs)))
-	out := make([]InsertResult, len(fs))
+	out := make([]R, len(fs))
 	uniq, firstOf := dedupBatch(fs)
 	batch.SetInt("unique", int64(len(uniq)))
+	// The queue span opens before the fan-out and is closed by whichever
+	// worker goroutine runs first: its duration is the time the batch
+	// spent waiting for pool capacity rather than doing work.
 	_, queue := obs.StartSpan(ctx, "service.queue")
 	var queueOnce sync.Once
-	s.fanOut(len(uniq), func(i int) {
+	par.Chunks(len(uniq), s.workers, func(lo, hi int) {
 		if queue != nil {
 			queueOnce.Do(queue.End)
 		}
-		j := uniq[i]
-		ictx, sp := obs.StartSpan(ctx, "service.certify")
-		key, index, isNew := s.st.AddCtx(ictx, fs[j])
-		sp.SetBool("new", isNew)
-		sp.End()
-		out[j] = InsertResult{Key: key, Index: index, New: isNew}
-		if isNew {
-			s.created.Add(1)
-			if index > 0 {
-				s.collisions.Add(1)
-			}
+		for _, j := range uniq[lo:hi] {
+			out[j] = one(ctx, fs[j])
 		}
 	})
 	if queue != nil {
-		queueOnce.Do(queue.End)
+		queueOnce.Do(queue.End) // empty batch: nothing ever ran
 	}
 	if firstOf != nil {
 		for i, j := range firstOf {
-			if j == i {
-				continue
+			if j != i {
+				out[i] = copyOf(out[j])
 			}
-			// The first copy founded (or found) the class; later copies of
-			// the same function are by definition not new.
-			r := out[j]
-			r.New = false
-			out[i] = r
 		}
 		s.deduped.Add(int64(len(fs) - len(uniq)))
 	}
-	s.inserts.Add(int64(len(fs)))
+	total.Add(int64(len(fs)))
 	s.batches.Add(1)
 	d := time.Since(start)
 	s.latencyNS.Add(d.Nanoseconds())
 	if s.observeBatch != nil {
-		s.observeBatch("insert", len(fs), d)
+		s.observeBatch(op, len(fs), d)
 	}
 	batch.End()
 	return out
@@ -325,39 +292,20 @@ func (s *Service) classifyOne(ctx context.Context, f *tt.TT) Result {
 	return r
 }
 
-// fanOut runs fn(i) for i in [0,count) over contiguous chunks, one
-// goroutine per worker — the chunking strategy of core.ClassifyParallel.
-func (s *Service) fanOut(count int, fn func(i int)) {
-	workers := s.workers
-	if workers > count {
-		workers = count
-	}
-	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			fn(i)
+// insertOne serves one insert under a service.certify span recording
+// whether it founded a new class.
+func (s *Service) insertOne(ctx context.Context, f *tt.TT) InsertResult {
+	ctx, sp := obs.StartSpan(ctx, "service.certify")
+	key, index, isNew := s.st.AddCtx(ctx, f)
+	sp.SetBool("new", isNew)
+	sp.End()
+	if isNew {
+		s.created.Add(1)
+		if index > 0 {
+			s.collisions.Add(1)
 		}
-		return
 	}
-	chunk := (count + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	return InsertResult{Key: key, Index: index, New: isNew}
 }
 
 // cacheKey packs the function's truth-table words into a string key. The

@@ -61,7 +61,6 @@ package store
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -69,6 +68,7 @@ import (
 	"repro/internal/match"
 	"repro/internal/npn"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/tt"
 )
 
@@ -576,40 +576,14 @@ func (s *Store) ApplyLogRecord(meta uint64, key uint64, f *tt.TT) bool {
 // missing. It returns the number of tables published and bypasses the
 // read-only gate.
 func (s *Store) ApplySnapshot(fs []*tt.TT) int {
-	if len(fs) == 0 {
-		return 0
-	}
 	keys := make([]uint64, len(fs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(fs) {
-		workers = len(fs)
-	}
-	if workers <= 1 {
+	par.Chunks(len(fs), 0, func(lo, hi int) {
 		e := s.borrow()
-		for i, f := range fs {
-			keys[i] = e.cls.Hash(f)
+		defer s.release(e)
+		for i := lo; i < hi; i++ {
+			keys[i] = e.cls.Hash(fs[i])
 		}
-		s.release(e)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(fs) + workers - 1) / workers
-		for lo := 0; lo < len(fs); lo += chunk {
-			hi := lo + chunk
-			if hi > len(fs) {
-				hi = len(fs)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				e := s.borrow()
-				defer s.release(e)
-				for i := lo; i < hi; i++ {
-					keys[i] = e.cls.Hash(fs[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 	published := 0
 	for i, f := range fs {
 		if s.addRecovered(keys[i], f) {

@@ -1,13 +1,11 @@
 package wal
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/tt"
 	"repro/internal/ttio"
@@ -158,24 +156,6 @@ func (c *Compactor) Compact() (CompactStats, error) {
 	}
 	syncDir(c.Dir)
 	return st, nil
-}
-
-// Run compacts every interval until ctx is cancelled — the background-
-// goroutine mode. Pass errors are delivered to onErr (may be nil) and do
-// not stop the loop.
-func (c *Compactor) Run(ctx context.Context, every time.Duration, onErr func(error)) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if _, err := c.Compact(); err != nil && onErr != nil {
-				onErr(err)
-			}
-		}
-	}
 }
 
 // tableKey packs a table's words into a map key for exact-equality dedup.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs-check.sh — keep the documentation honest.
 #
-# Three checks over README.md plus everything in docs/:
+# Four checks over README.md plus everything in docs/:
 #
 #   1. Links: every relative markdown link target must exist on disk
 #      (anchors are stripped; http(s) links are not fetched).
@@ -14,6 +14,9 @@
 #      against the families the code actually registers, both ways. This
 #      is delegated to the metricsdrift analyzer in cmd/npnlint so the
 #      docs checker and the linter share one source of truth.
+#   4. Package map, both ways: every top-level directory under internal/
+#      must be named as internal/<pkg> in docs/ARCHITECTURE.md, and every
+#      internal/<pkg> that ARCHITECTURE.md names must exist.
 #
 # Usage: scripts/docs-check.sh
 set -euo pipefail
@@ -66,6 +69,22 @@ if command -v go >/dev/null 2>&1; then
 else
   echo "SKIPPED  go toolchain not on PATH; metric-family drift not checked"
 fi
+
+echo "== internal packages vs docs/ARCHITECTURE.md package map"
+pkgs=$(find internal -mindepth 1 -maxdepth 1 -type d | sed 's#^internal/##' | sort)
+for p in $pkgs; do
+  if ! grep -qE "internal/$p([^a-z0-9_]|\$)" docs/ARCHITECTURE.md; then
+    echo "UNMAPPED  internal/$p (package missing from docs/ARCHITECTURE.md)"
+    fail=1
+  fi
+done
+named=$(grep -oE 'internal/[a-z0-9_]+' docs/ARCHITECTURE.md | sed 's#^internal/##' | sort -u)
+for p in $named; do
+  if ! grep -qx -- "$p" <<<"$pkgs"; then
+    echo "STALE  internal/$p (docs/ARCHITECTURE.md names no internal/ package)"
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs-check: FAILED"
