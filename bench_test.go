@@ -11,6 +11,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -372,7 +373,7 @@ func BenchmarkCutEnumeration(b *testing.B) {
 
 var cutEnumSink int
 
-// BenchmarkStoreLookup measures single-function Store.Lookup under the
+// BenchmarkStoreLookup measures single-function Store.LookupCtx under the
 // shipped full MSV key against a warm store, on three query streams per
 // arity (n6 and n8):
 //
@@ -390,6 +391,7 @@ var cutEnumSink int
 //     by the store's node budget and an exhausted one makes the cheap key
 //     ambiguous, so this row bounds the worst case the hints add.
 func BenchmarkStoreLookup(b *testing.B) {
+	ctx := context.Background()
 	for _, n := range []int{6, 8} {
 		stored, disguises, misses := storeLookupWorkloads(n)
 		for _, row := range []struct {
@@ -404,24 +406,24 @@ func BenchmarkStoreLookup(b *testing.B) {
 		} {
 			st := store.New(n, store.Options{})
 			for _, f := range row.fs {
-				st.Add(f)
+				st.AddCtx(ctx, f)
 			}
 			// Warm pass: one disguise hit per stored class builds its
 			// profile and publishes its hint, as serving traffic would.
 			for i, f := range row.fs {
-				if _, _, _, _, ok := st.Lookup(disguise(n, i, f)); !ok {
+				if _, _, _, _, ok := st.LookupCtx(ctx, disguise(n, i, f)); !ok {
 					b.Fatal("warm lookup missed")
 				}
 			}
 			// One pass over the queries settles which cheap keys an
 			// exhausted hint attempt turned ambiguous.
 			for _, q := range row.queries {
-				st.Lookup(q)
+				st.LookupCtx(ctx, q)
 			}
 			b.Run(fmt.Sprintf("%s-n%d", row.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, _, _, ok := st.Lookup(row.queries[i%len(row.queries)]); ok != row.hit {
+					if _, _, _, _, ok := st.LookupCtx(ctx, row.queries[i%len(row.queries)]); ok != row.hit {
 						b.Fatalf("lookup hit=%v, want %v", ok, row.hit)
 					}
 				}
@@ -506,7 +508,7 @@ func BenchmarkTransportClassify(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ins, err := reg.Insert(fs)
+		ins, err := reg.InsertCtx(context.Background(), fs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -576,13 +578,14 @@ func BenchmarkTransportClassify(b *testing.B) {
 // BenchmarkWALReplay measures warm-restart cost: rebuilding a 10k-class
 // store by replaying its write-ahead log (store.Recover) versus
 // re-classifying the same 10k functions from scratch through the
-// certified Add path. Log records carry the class key each insert was
+// certified AddCtx path. Log records carry the class key each insert was
 // certified under, so replay of a same-configuration log skips signature
 // hashing and matcher certification entirely — it is pure chain
 // publication — which is why recovery is expected to run at least 5x
 // faster than re-classification (in practice closer to two orders of
 // magnitude at n=7).
 func BenchmarkWALReplay(b *testing.B) {
+	ctx := context.Background()
 	n := 7
 	fs := gen.UniformRandom(n, 10000, 77)
 
@@ -592,7 +595,7 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, f := range fs {
-		st.Add(f)
+		st.AddCtx(ctx, f)
 	}
 	classes := st.Size()
 	if err := w.Close(); err != nil {
@@ -615,7 +618,7 @@ func BenchmarkWALReplay(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fresh := store.New(n, store.Options{})
 			for _, f := range fs {
-				fresh.Add(f)
+				fresh.AddCtx(ctx, f)
 			}
 			if fresh.Size() != classes {
 				b.Fatalf("classified %d classes, want %d", fresh.Size(), classes)
@@ -632,6 +635,7 @@ func BenchmarkWALReplay(b *testing.B) {
 // "service-cached" is the steady-state serving mode where repeated
 // functions are answered from the LRU.
 func BenchmarkStoreThroughput(b *testing.B) {
+	ctx := context.Background()
 	fs := circuitWorkload(6)
 	cfg := core.ConfigAll()
 	cfg.FastOSDV = true
@@ -645,26 +649,26 @@ func BenchmarkStoreThroughput(b *testing.B) {
 		// Cold build: the whole class store constructed from the batch.
 		for i := 0; i < b.N; i++ {
 			svc := service.New(store.New(6, store.Options{}), service.Options{CacheSize: -1})
-			svc.Insert(fs)
+			svc.InsertCtx(ctx, fs)
 		}
 	})
 	b.Run("service-classify", func(b *testing.B) {
 		// Warm store, no cache: every answer re-certified by the matcher.
 		svc := service.New(store.New(6, store.Options{}), service.Options{CacheSize: -1})
-		svc.Insert(fs)
+		svc.InsertCtx(ctx, fs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			svc.Classify(fs)
+			svc.ClassifyCtx(ctx, fs)
 		}
 	})
 	b.Run("service-cached", func(b *testing.B) {
 		// Steady state: warm store and warm LRU.
 		svc := service.New(store.New(6, store.Options{}), service.Options{CacheSize: len(fs) * 2})
-		svc.Insert(fs)
-		svc.Classify(fs)
+		svc.InsertCtx(ctx, fs)
+		svc.ClassifyCtx(ctx, fs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			svc.Classify(fs)
+			svc.ClassifyCtx(ctx, fs)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func startHardenedServer(t *testing.T, cfg config) (string, *federation.Registry
 	if err != nil {
 		t.Fatal(err)
 	}
-	hopts, err := cfg.handlerOptions(reg)
+	hopts, _, err := cfg.handlerOptions(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestHardenedFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fopts, err := fcfg.handlerOptions(fol.Registry())
+	fopts, _, err := fcfg.handlerOptions(fol.Registry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func main() {
 	}
 	// The handler options come after the registry: the load shedder reads
 	// its live worker-pool depth.
-	hopts, keyring, err := cfg.handlerOptionsKeyring(reg)
+	hopts, keyring, err := cfg.handlerOptions(reg)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -325,16 +325,11 @@ func main() {
 // -anon-rps, -max-inflight) the auth guard wired to reg's live
 // worker-pool depth. The same options value feeds
 // federation.NewHandlerOpts and replica.NewHandlerOpts, so primary and
-// follower expose the identical metric and admission surface.
-func (c config) handlerOptions(reg *federation.Registry) (federation.HandlerOptions, error) {
-	o, _, err := c.handlerOptionsKeyring(reg)
-	return o, err
-}
-
-// handlerOptionsKeyring is handlerOptions plus the live keyring the
-// guard authenticates against, so main can swap it in place on SIGHUP.
-// The keyring is nil when no keys are configured.
-func (c config) handlerOptionsKeyring(reg *federation.Registry) (federation.HandlerOptions, *auth.Keyring, error) {
+// follower expose the identical metric and admission surface. It also
+// returns the live keyring the guard authenticates against, so main can
+// swap it in place on SIGHUP; the keyring is nil when no keys are
+// configured.
+func (c config) handlerOptions(reg *federation.Registry) (federation.HandlerOptions, *auth.Keyring, error) {
 	o := federation.HandlerOptions{MaxBody: c.maxBody}
 	if c.metrics {
 		m := obs.NewRegistry()

@@ -33,7 +33,7 @@ func startServer(t *testing.T, cfg config) (*client.Client, *federation.Registry
 	if err != nil {
 		t.Fatal(err)
 	}
-	hopts, err := cfg.handlerOptions(reg)
+	hopts, _, err := cfg.handlerOptions(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSpecCoversRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fopts, err := fcfg.handlerOptions(fol.Registry())
+	fopts, _, err := fcfg.handlerOptions(fol.Registry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestFollowerServerEndToEnd(t *testing.T) {
 	if err := fol.SyncOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	fsrv := httptest.NewServer(replica.NewHandler(fol))
+	fsrv := httptest.NewServer(replica.NewHandlerOpts(fol, federation.HandlerOptions{}))
 	t.Cleanup(fsrv.Close)
 	fc := client.New(fsrv.URL)
 

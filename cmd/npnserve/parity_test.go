@@ -33,7 +33,7 @@ func TestFollowerMetricsStatsParity(t *testing.T) {
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fopts, err := fcfg.handlerOptions(fol.Registry())
+	fopts, _, err := fcfg.handlerOptions(fol.Registry())
 	if err != nil {
 		t.Fatal(err)
 	}

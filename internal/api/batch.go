@@ -148,11 +148,11 @@ func writeBodyError(w http.ResponseWriter, err error) {
 }
 
 // runBatch calls op once on the inputs of in that parsed and scatters its
-// per-input outcomes back to input order. itemErr, when non-nil, names an
-// outcome's own per-item error, which is folded into in.errs so the
-// encoders never mint one. Every per-item error is then stamped with the
-// request ID and counted in nErr. A whole-batch error from op is written
-// as the error envelope and reports ok=false.
+// per-input outcomes back to input order. itemErr names an outcome's own
+// per-item error, which is folded into in.errs so the encoders never mint
+// one. Every per-item error is then stamped with the request ID and
+// counted in nErr. A whole-batch error from op is written as the error
+// envelope and reports ok=false.
 func runBatch[T any](w http.ResponseWriter, r *http.Request, in batch,
 	op func(context.Context, []*tt.TT) ([]T, *Error), itemErr func(T) *Error) (out []T, nErr int, ok bool) {
 	reqID := obs.RequestIDFromContext(r.Context())
@@ -176,9 +176,7 @@ func runBatch[T any](w http.ResponseWriter, r *http.Request, in batch,
 			}
 			out[i] = got[j]
 			j++
-			if itemErr != nil {
-				in.errs[i] = itemErr(out[i])
-			}
+			in.errs[i] = itemErr(out[i])
 		}
 	}
 	for i, e := range in.errs {
@@ -212,7 +210,7 @@ func HandleClassify(b Backend, maxBody int64) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		res, nErr, ok := runBatch(w, r, in, b.Classify, nil)
+		res, nErr, ok := runBatch(w, r, in, b.Classify, Result.itemError)
 		if !ok {
 			return
 		}
@@ -222,7 +220,7 @@ func HandleClassify(b Backend, maxBody int64) http.HandlerFunc {
 		}
 		items := make([]ClassifyItem, len(res))
 		for i := range res {
-			items[i] = classifyItem(in.echo(i), res[i], in.errs[i])
+			items[i] = NewClassifyItem(in.echo(i), res[i], in.errs[i])
 		}
 		WriteJSON(w, http.StatusOK, ClassifyResponse{Results: items, Errors: nErr})
 	}
@@ -249,7 +247,7 @@ func HandleInsert(b Backend, maxBody int64) http.HandlerFunc {
 		}
 		items := make([]InsertItem, len(out))
 		for i := range out {
-			items[i] = insertItem(in.echo(i), out[i], in.errs[i])
+			items[i] = NewInsertItem(in.echo(i), out[i], in.errs[i])
 		}
 		WriteJSON(w, http.StatusOK, InsertResponse{Results: items, Errors: nErr})
 	}

@@ -383,19 +383,9 @@ func EncodeBinaryClassify(res []Result, errs []*Error, crc bool) []byte {
 	return finishBinaryFrame(dst, crc)
 }
 
-// BinaryClassifyItem is one decoded classify outcome: Err, or a miss
-// (Hit=false, Key), or a hit with the witness and representative.
-type BinaryClassifyItem struct {
-	Err     *Error
-	Key     uint64
-	Index   int
-	Hit     bool
-	Rep     *tt.TT
-	Witness npn.Transform
-}
-
-// DecodeBinaryClassify parses the frame EncodeBinaryClassify writes.
-func DecodeBinaryClassify(data []byte) ([]BinaryClassifyItem, error) {
+// DecodeBinaryClassify parses the frame EncodeBinaryClassify writes: one
+// Result per item, an error item as a Result carrying only Err.
+func DecodeBinaryClassify(data []byte) ([]Result, error) {
 	r := &binReader{data: data}
 	count, _ := r.header()
 	if r.err != nil {
@@ -404,13 +394,13 @@ func DecodeBinaryClassify(data []byte) ([]BinaryClassifyItem, error) {
 	if count > MaxBatch {
 		return nil, fmt.Errorf("response declares %d items, limit %d", count, MaxBatch)
 	}
-	items := make([]BinaryClassifyItem, 0, count)
+	items := make([]Result, 0, count)
 	for i := 0; i < count; i++ {
 		switch status := r.byte(); status {
 		case binStatusMiss:
-			items = append(items, BinaryClassifyItem{Key: r.uint64()})
+			items = append(items, Result{Key: r.uint64()})
 		case binStatusHit:
-			it := BinaryClassifyItem{Hit: true, Key: r.uint64()}
+			it := Result{Hit: true, Key: r.uint64()}
 			it.Index = int(r.uvarint())
 			w, ok := r.readWitness()
 			if !ok {
@@ -432,7 +422,7 @@ func DecodeBinaryClassify(data []byte) ([]BinaryClassifyItem, error) {
 			if r.err != nil {
 				return nil, r.err
 			}
-			items = append(items, BinaryClassifyItem{Err: e})
+			items = append(items, Result{Err: e})
 		default:
 			if r.err != nil {
 				return nil, r.err
@@ -469,16 +459,9 @@ func EncodeBinaryInsert(out []InsertOutcome, errs []*Error, crc bool) []byte {
 	return finishBinaryFrame(dst, crc)
 }
 
-// BinaryInsertItem is one decoded insert outcome.
-type BinaryInsertItem struct {
-	Err   *Error
-	Key   uint64
-	Index int
-	New   bool
-}
-
-// DecodeBinaryInsert parses the frame EncodeBinaryInsert writes.
-func DecodeBinaryInsert(data []byte) ([]BinaryInsertItem, error) {
+// DecodeBinaryInsert parses the frame EncodeBinaryInsert writes: one
+// InsertOutcome per item, an error item as an outcome carrying only Err.
+func DecodeBinaryInsert(data []byte) ([]InsertOutcome, error) {
 	r := &binReader{data: data}
 	count, _ := r.header()
 	if r.err != nil {
@@ -487,11 +470,11 @@ func DecodeBinaryInsert(data []byte) ([]BinaryInsertItem, error) {
 	if count > MaxBatch {
 		return nil, fmt.Errorf("response declares %d items, limit %d", count, MaxBatch)
 	}
-	items := make([]BinaryInsertItem, 0, count)
+	items := make([]InsertOutcome, 0, count)
 	for i := 0; i < count; i++ {
 		switch status := r.byte(); status {
 		case binStatusHit, binStatusCreated:
-			it := BinaryInsertItem{New: status == binStatusCreated, Key: r.uint64()}
+			it := InsertOutcome{New: status == binStatusCreated, Key: r.uint64()}
 			it.Index = int(r.uvarint())
 			items = append(items, it)
 		case binStatusError:
@@ -499,7 +482,7 @@ func DecodeBinaryInsert(data []byte) ([]BinaryInsertItem, error) {
 			if r.err != nil {
 				return nil, r.err
 			}
-			items = append(items, BinaryInsertItem{Err: e})
+			items = append(items, InsertOutcome{Err: e})
 		default:
 			if r.err != nil {
 				return nil, r.err
@@ -511,19 +494,6 @@ func DecodeBinaryInsert(data []byte) ([]BinaryInsertItem, error) {
 		}
 	}
 	return items, r.finish()
-}
-
-// BinaryRequestSize returns the framed byte size of a batch without
-// building it — what a client pays on the wire per request.
-func BinaryRequestSize(fs []*tt.TT, crc bool) int {
-	size := 4 + uvarintLen(uint64(len(fs))) + len(fs)
-	for _, f := range fs {
-		size += ttBytes(f.NumVars())
-	}
-	if crc {
-		size += 4
-	}
-	return size
 }
 
 // uvarintLen returns the encoded length of v as an unsigned varint.

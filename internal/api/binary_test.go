@@ -25,14 +25,20 @@ func randTables(n, count int, seed int64) []*tt.TT {
 
 // TestBinaryRequestRoundTrip: encode → decode is the identity, with and
 // without the CRC trailer, across arities including the sub-byte ones,
-// and the frame is exactly BinaryRequestSize bytes.
+// and the frame is exactly as long as docs/WIRE.md lays it out.
 func TestBinaryRequestRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 6, 8} {
 		for _, crc := range []bool{false, true} {
 			fs := randTables(n, 9, int64(100*n))
 			frame := EncodeBinaryRequest(fs, crc)
-			if got, want := len(frame), BinaryRequestSize(fs, crc); got != want {
-				t.Fatalf("n=%d crc=%v: frame is %d bytes, BinaryRequestSize says %d", n, crc, got, want)
+			// 4 header bytes, a one-byte count, then an arity byte and
+			// the packed table per function; the CRC trailer adds 4.
+			want := 5 + len(fs)*(1+ttBytes(n))
+			if crc {
+				want += 4
+			}
+			if got := len(frame); got != want {
+				t.Fatalf("n=%d crc=%v: frame is %d bytes, want %d", n, crc, got, want)
 			}
 			back, gotCRC, err := DecodeBinaryRequest(frame)
 			if err != nil {

@@ -104,8 +104,9 @@ type InsertResponse struct {
 }
 
 // Result is one function's classification outcome as a Backend reports
-// it — the transport-free twin of the pipeline's result, so this package
-// does not depend on any particular serving stack.
+// it and DecodeBinaryClassify returns it — the transport-free twin of the
+// pipeline's result, so this package does not depend on any particular
+// serving stack.
 type Result struct {
 	// Key is the MSV class key (valid even on a miss).
 	Key uint64
@@ -119,12 +120,18 @@ type Result struct {
 	Rep *tt.TT
 	// Witness is a transform τ with τ(Rep) = function (hit only).
 	Witness npn.Transform
+	// Err carries a per-item failure; the other fields are then zero.
+	Err *Error
 }
 
+// itemError returns the result's per-item error, nil on success.
+func (r Result) itemError() *Error { return r.Err }
+
 // InsertOutcome is one function's insertion outcome as a Backend reports
-// it. Err carries a per-item failure (e.g. a forwarding follower relaying
-// the primary's item error); Index < 0 with a nil Err means the store
-// refused the insert (journal failure) and is reported as not_durable.
+// it and DecodeBinaryInsert returns it. Err carries a per-item failure
+// (e.g. a forwarding follower relaying the primary's item error); Index <
+// 0 with a nil Err means the store refused the insert (journal failure)
+// and is reported as not_durable.
 type InsertOutcome struct {
 	Key   uint64
 	Index int
@@ -172,9 +179,9 @@ type Backend interface {
 // KeyHex renders a class key in its canonical 16-digit wire form.
 func KeyHex(key uint64) string { return fmt.Sprintf("%016x", key) }
 
-// classifyItem encodes one function's JSON classify item: the per-item
-// error e when set, otherwise the result r.
-func classifyItem(fn string, r Result, e *Error) ClassifyItem {
+// NewClassifyItem encodes one function's JSON classify item: the
+// per-item error e when set, otherwise the result r.
+func NewClassifyItem(fn string, r Result, e *Error) ClassifyItem {
 	if e != nil {
 		return ClassifyItem{Function: fn, Error: e}
 	}
@@ -188,10 +195,10 @@ func classifyItem(fn string, r Result, e *Error) ClassifyItem {
 	return it
 }
 
-// insertItem encodes one function's JSON insert item: the per-item error
-// e when set, otherwise the outcome o. A refused insert's item keeps its
-// class key and index -1 next to the not_durable error.
-func insertItem(fn string, o InsertOutcome, e *Error) InsertItem {
+// NewInsertItem encodes one function's JSON insert item: the per-item
+// error e when set, otherwise the outcome o. A refused insert's item keeps
+// its class key and index -1 next to the not_durable error.
+func NewInsertItem(fn string, o InsertOutcome, e *Error) InsertItem {
 	switch {
 	case e == nil:
 		return InsertItem{Function: fn, Class: KeyHex(o.Key), Index: o.Index, New: o.New}

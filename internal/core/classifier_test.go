@@ -159,22 +159,6 @@ func TestFig3BalancedPair(t *testing.T) {
 	t.Skip("no Fig.3-style pair found in budget (unlikely)")
 }
 
-func TestPartitionerStreaming(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	c := New(5, ConfigAll())
-	p := NewPartitioner(c)
-	f := tt.Random(5, rng)
-	g := npn.RandomTransform(5, rng).Apply(f)
-	idF := p.Add(f)
-	idG := p.Add(g)
-	if idF != idG {
-		t.Error("NPN-equivalent functions got different streaming ids")
-	}
-	if p.NumSeen() != 2 || p.NumClasses() != 1 || p.Sizes()[0] != 2 {
-		t.Error("partitioner bookkeeping wrong")
-	}
-}
-
 func TestStrictKeysMatchesHashed(t *testing.T) {
 	// At test scale, hashed and strict bucketing must agree exactly.
 	rng := rand.New(rand.NewSource(75))

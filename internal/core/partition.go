@@ -2,63 +2,6 @@ package core
 
 import "repro/internal/tt"
 
-// Partitioner assigns class ids to a stream of functions, bucketing by the
-// classifier's MSV key. It is the runtime object behind Algorithm 1's
-// "hash(MSV)" step and supports both hashed and strict (full-key) modes.
-type Partitioner struct {
-	c       *Classifier
-	byHash  map[uint64]int
-	byKey   map[string]int
-	sizes   []int
-	strict  bool
-	numSeen int
-}
-
-// NewPartitioner returns an empty partition over the classifier's key space.
-func NewPartitioner(c *Classifier) *Partitioner {
-	p := &Partitioner{c: c, strict: c.cfg.StrictKeys}
-	if p.strict {
-		p.byKey = make(map[string]int)
-	} else {
-		p.byHash = make(map[uint64]int)
-	}
-	return p
-}
-
-// Add classifies f and returns its class id (dense, starting at 0).
-func (p *Partitioner) Add(f *tt.TT) int {
-	p.numSeen++
-	if p.strict {
-		key := string(p.c.KeyBytes(f))
-		if id, ok := p.byKey[key]; ok {
-			p.sizes[id]++
-			return id
-		}
-		id := len(p.byKey)
-		p.byKey[key] = id
-		p.sizes = append(p.sizes, 1)
-		return id
-	}
-	h := p.c.Hash(f)
-	if id, ok := p.byHash[h]; ok {
-		p.sizes[id]++
-		return id
-	}
-	id := len(p.byHash)
-	p.byHash[h] = id
-	p.sizes = append(p.sizes, 1)
-	return id
-}
-
-// NumClasses returns the number of distinct classes seen so far.
-func (p *Partitioner) NumClasses() int { return len(p.sizes) }
-
-// NumSeen returns how many functions have been added.
-func (p *Partitioner) NumSeen() int { return p.numSeen }
-
-// Sizes returns the per-class function counts (indexed by class id).
-func (p *Partitioner) Sizes() []int { return p.sizes }
-
 // Result is the outcome of classifying a function list.
 type Result struct {
 	// ClassOf[i] is the class id of input i.
@@ -69,23 +12,53 @@ type Result struct {
 	Sizes []int
 }
 
+// classKey is what buckets a function, Algorithm 1's "hash(MSV)" step:
+// its MSV hash, or in strict mode its full key bytes. The unused field is
+// zero in every key, so equality is by hash, or by full key in strict
+// mode.
+type classKey struct {
+	hash uint64
+	key  string
+}
+
+// classKey computes f's bucket key under the classifier's configuration.
+func (c *Classifier) classKey(f *tt.TT) classKey {
+	if c.cfg.StrictKeys {
+		return classKey{key: string(c.KeyBytes(f))}
+	}
+	return classKey{hash: c.Hash(f)}
+}
+
+// bucket assigns dense class ids in first-seen order: input i joins the
+// class of the first earlier input with an equal key, or founds the next
+// id.
+func bucket(keys []classKey) *Result {
+	r := &Result{ClassOf: make([]int, len(keys))}
+	ids := make(map[classKey]int)
+	for i, k := range keys {
+		id, ok := ids[k]
+		if !ok {
+			id = len(ids)
+			ids[k] = id
+			r.Sizes = append(r.Sizes, 0)
+		}
+		r.ClassOf[i] = id
+		r.Sizes[id]++
+	}
+	r.NumClasses = len(ids)
+	return r
+}
+
 // Classify buckets the whole list and returns the dense class assignment.
 func (c *Classifier) Classify(fs []*tt.TT) *Result {
-	p := NewPartitioner(c)
-	r := &Result{ClassOf: make([]int, len(fs))}
+	keys := make([]classKey, len(fs))
 	for i, f := range fs {
-		r.ClassOf[i] = p.Add(f)
+		keys[i] = c.classKey(f)
 	}
-	r.NumClasses = p.NumClasses()
-	r.Sizes = p.Sizes()
-	return r
+	return bucket(keys)
 }
 
 // NumClasses is a convenience wrapper returning only the class count.
 func (c *Classifier) NumClasses(fs []*tt.TT) int {
-	p := NewPartitioner(c)
-	for _, f := range fs {
-		p.Add(f)
-	}
-	return p.NumClasses()
+	return c.Classify(fs).NumClasses
 }

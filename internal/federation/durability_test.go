@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -30,6 +31,7 @@ func durableRegistry(t *testing.T, dir string, lo, hi int) *Registry {
 // survive — then compact, restart again, and verify once more, so both
 // the log-replay and the snapshot-plus-log recovery paths are exercised.
 func TestDurableRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(60))
 	var fs []*tt.TT
@@ -43,7 +45,7 @@ func TestDurableRestart(t *testing.T) {
 	if !reg.Durable() {
 		t.Fatal("registry with Data is not durable")
 	}
-	ins, err := reg.Insert(fs)
+	ins, err := reg.InsertCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestDurableRestart(t *testing.T) {
 		for i, f := range fs {
 			queries[i] = npn.RandomTransform(f.NumVars(), rng).Apply(f)
 		}
-		res, err := reg.Classify(queries)
+		res, err := reg.ClassifyCtx(ctx, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,6 +122,7 @@ func TestDurableRestart(t *testing.T) {
 // TestDurableCrashRestart: closing nothing at all (the kill -9 shape,
 // with per-append fsync) must also lose nothing.
 func TestDurableCrashRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(61))
 	var fs []*tt.TT
@@ -127,14 +130,14 @@ func TestDurableCrashRestart(t *testing.T) {
 		fs = append(fs, tt.Random(5, rng))
 	}
 	reg := durableRegistry(t, dir, 4, 6)
-	if _, err := reg.Insert(fs); err != nil {
+	if _, err := reg.InsertCtx(ctx, fs); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the writer is abandoned mid-flight.
 
 	reg2 := durableRegistry(t, dir, 4, 6)
 	defer reg2.Close()
-	res, err := reg2.Classify(fs)
+	res, err := reg2.ClassifyCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

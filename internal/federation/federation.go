@@ -266,29 +266,18 @@ func (r *Registry) Active() []int {
 	return out
 }
 
-// Classify looks up every function's class in its arity's service. The
-// batch may mix arities freely; results keep input order. It fails as a
-// whole if any function's arity is outside the federated range.
-func (r *Registry) Classify(fs []*tt.TT) ([]service.Result, error) {
-	return r.ClassifyCtx(context.Background(), fs)
-}
-
-// ClassifyCtx is Classify with the request context threaded through for
-// tracing: the arity partition and group fan-out run under a
+// ClassifyCtx looks up every function's class in its arity's service.
+// The batch may mix arities freely; results keep input order. It fails as
+// a whole if any function's arity is outside the federated range. ctx
+// carries tracing: the arity partition and group fan-out run under a
 // federation.route span, and each arity group's pipeline spans nest
 // beneath it.
 func (r *Registry) ClassifyCtx(ctx context.Context, fs []*tt.TT) ([]service.Result, error) {
 	return route(ctx, r, fs, (*service.Service).ClassifyCtx)
 }
 
-// Insert adds every function's class if absent, routed by arity. Results
-// keep input order.
-func (r *Registry) Insert(fs []*tt.TT) ([]service.InsertResult, error) {
-	return r.InsertCtx(context.Background(), fs)
-}
-
-// InsertCtx is Insert with the request context threaded through for
-// tracing; see ClassifyCtx.
+// InsertCtx adds every function's class if absent, routed by arity.
+// Results keep input order; ctx carries tracing as in ClassifyCtx.
 func (r *Registry) InsertCtx(ctx context.Context, fs []*tt.TT) ([]service.InsertResult, error) {
 	return route(ctx, r, fs, (*service.Service).InsertCtx)
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -37,7 +38,7 @@ func TestLazyConstruction(t *testing.T) {
 	if active := r.Active(); len(active) != 0 {
 		t.Fatalf("fresh registry has active arities %v", active)
 	}
-	if _, err := r.Insert([]*tt.TT{tt.MustFromHex(6, "cafef00dcafef00d")}); err != nil {
+	if _, err := r.InsertCtx(context.Background(), []*tt.TT{tt.MustFromHex(6, "cafef00dcafef00d")}); err != nil {
 		t.Fatal(err)
 	}
 	if active := r.Active(); len(active) != 1 || active[0] != 6 {
@@ -53,6 +54,7 @@ func TestLazyConstruction(t *testing.T) {
 // batch: every result must land at its input position with a verifying
 // witness from the right arity's store.
 func TestMixedBatchRouting(t *testing.T) {
+	ctx := context.Background()
 	r := mustNew(t, 4, 10)
 	rng := rand.New(rand.NewSource(500))
 
@@ -63,7 +65,7 @@ func TestMixedBatchRouting(t *testing.T) {
 	// Shuffle so consecutive batch entries hop between arities.
 	rng.Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
 
-	ins, err := r.Insert(base)
+	ins, err := r.InsertCtx(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestMixedBatchRouting(t *testing.T) {
 	for i, f := range base {
 		queries[i] = npn.RandomTransform(f.NumVars(), rng).Apply(f)
 	}
-	cls, err := r.Classify(queries)
+	cls, err := r.ClassifyCtx(ctx, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +119,13 @@ func TestMixedBatchRouting(t *testing.T) {
 // TestClassifyRejectsOutOfRangeArity fails the whole batch when any
 // function's arity is outside the federated range.
 func TestClassifyRejectsOutOfRangeArity(t *testing.T) {
+	ctx := context.Background()
 	r := mustNew(t, 5, 8)
 	batch := []*tt.TT{tt.New(6), tt.New(4)}
-	if _, err := r.Classify(batch); err == nil {
+	if _, err := r.ClassifyCtx(ctx, batch); err == nil {
 		t.Fatal("out-of-range arity classified")
 	}
-	if _, err := r.Insert(batch); err == nil {
+	if _, err := r.InsertCtx(ctx, batch); err == nil {
 		t.Fatal("out-of-range arity inserted")
 	}
 }
@@ -132,6 +135,7 @@ func TestClassifyRejectsOutOfRangeArity(t *testing.T) {
 // (run under -race): lazy construction, routing and the per-arity
 // pipelines must all be safe, and every hit's witness must verify.
 func TestConcurrentMixedArity(t *testing.T) {
+	ctx := context.Background()
 	const (
 		lo, hi     = 4, 10
 		goroutines = 8
@@ -162,13 +166,13 @@ func TestConcurrentMixedArity(t *testing.T) {
 				}
 				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 				if round%2 == 0 {
-					if _, err := r.Insert(batch); err != nil {
+					if _, err := r.InsertCtx(ctx, batch); err != nil {
 						t.Error(err)
 						return
 					}
 					continue
 				}
-				res, err := r.Classify(batch)
+				res, err := r.ClassifyCtx(ctx, batch)
 				if err != nil {
 					t.Error(err)
 					return
@@ -201,6 +205,7 @@ func TestConcurrentMixedArity(t *testing.T) {
 
 // TestStatsAggregation cross-checks totals against the per-arity rows.
 func TestStatsAggregation(t *testing.T) {
+	ctx := context.Background()
 	r := mustNew(t, 4, 6)
 	rng := rand.New(rand.NewSource(502))
 	var batch []*tt.TT
@@ -209,10 +214,10 @@ func TestStatsAggregation(t *testing.T) {
 			batch = append(batch, tt.Random(n, rng))
 		}
 	}
-	if _, err := r.Insert(batch); err != nil {
+	if _, err := r.InsertCtx(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Classify(batch); err != nil {
+	if _, err := r.ClassifyCtx(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()

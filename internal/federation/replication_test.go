@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -23,6 +24,7 @@ import (
 // the error statuses (409 non-durable, 404 missing, 400/416 bad request)
 // hold.
 func TestWALEndpoints(t *testing.T) {
+	ctx := context.Background()
 	mem, err := New(4, 6, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestWALEndpoints(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fs = append(fs, tt.Random(5, rng))
 	}
-	ins, err := reg.Insert(fs)
+	ins, err := reg.InsertCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestWALEndpoints(t *testing.T) {
 	// Offset resume: more inserts, then a range read from the previous
 	// end yields exactly the new records.
 	more := []*tt.TT{tt.Random(5, rng)}
-	if _, err := reg.Insert(more); err != nil {
+	if _, err := reg.InsertCtx(ctx, more); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Get(srv.URL + "/v1/wal/segment/5/1?offset=" + strconv.FormatInt(offsetMid, 10))
@@ -183,7 +185,7 @@ func TestWALEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lazy.Close()
-	if _, err := lazy.Insert([]*tt.TT{tt.Random(4, rng)}); err != nil {
+	if _, err := lazy.InsertCtx(ctx, []*tt.TT{tt.Random(4, rng)}); err != nil {
 		t.Fatal(err)
 	}
 	lm, err := lazy.Manifest()
@@ -237,7 +239,7 @@ func TestWALEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ro.Insert([]*tt.TT{fs[0]})
+	res, err := ro.InsertCtx(ctx, []*tt.TT{fs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,13 +98,12 @@ type HTTPOptions struct {
 }
 
 // HTTPMetrics is the per-request instrumentation middleware: it stamps
-// request IDs, counts requests by route × method × status class, records
-// latency histograms with the same labels, tracks in-flight requests and
-// logs slow requests. Its Wrap method structurally matches the Router
-// middleware shape of internal/api without obs importing it.
+// request IDs, records latency histograms by route × method × status
+// class (whose _count series counts the requests), tracks in-flight
+// requests and logs slow requests. Its Wrap method structurally matches
+// the Router middleware shape of internal/api without obs importing it.
 type HTTPMetrics struct {
 	opts     HTTPOptions
-	requests *CounterVec
 	latency  *HistogramVec
 	inflight *Gauge
 	slow     *CounterVec
@@ -118,9 +117,6 @@ func NewHTTPMetrics(r *Registry, opts HTTPOptions) *HTTPMetrics {
 	}
 	return &HTTPMetrics{
 		opts: opts,
-		requests: r.CounterVec("npn_http_requests_total",
-			"HTTP requests served, by route, method and status class.",
-			"route", "method", "code"),
 		latency: r.HistogramVec("npn_http_request_duration_seconds",
 			"HTTP request latency, by route, method and status class.",
 			DurationBuckets(), "route", "method", "code"),
@@ -156,7 +152,7 @@ func (m *HTTPMetrics) Wrap(route string, next http.HandlerFunc) http.HandlerFunc
 		m.inflight.Add(1)
 		start := time.Now()
 		// The accounting runs in a defer so a panicking handler cannot
-		// leak the in-flight gauge or drop the request from the counters:
+		// leak the in-flight gauge or drop the request from the histogram:
 		// the panic propagates to net/http (which tears the connection
 		// down) after the request is recorded as a 5xx.
 		panicked := true
@@ -167,9 +163,7 @@ func (m *HTTPMetrics) Wrap(route string, next http.HandlerFunc) http.HandlerFunc
 			if panicked {
 				status = http.StatusInternalServerError
 			}
-			code := statusClass(status)
-			m.requests.With(route, r.Method, code).Inc()
-			m.latency.With(route, r.Method, code).ObserveDuration(d)
+			m.latency.With(route, r.Method, statusClass(status)).ObserveDuration(d)
 			m.opts.Tracer.Finish(tr, status, d)
 			if m.opts.SlowRequest > 0 && d >= m.opts.SlowRequest {
 				m.slow.With(route).Inc()

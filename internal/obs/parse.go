@@ -51,8 +51,8 @@ func (s *Scrape) Value(name string, labelPairs ...string) (float64, bool) {
 }
 
 // Sum sums every series of the given name whose labels include the given
-// pairs — e.g. Sum("npn_http_requests_total", "route=/v2/classify")
-// across methods and status classes.
+// pairs — e.g. Sum("npn_http_request_duration_seconds_count",
+// "route=/v2/classify") across methods and status classes.
 func (s *Scrape) Sum(name string, labelPairs ...string) float64 {
 	total := 0.0
 	for _, sm := range s.Samples {

@@ -11,12 +11,6 @@ import (
 	"repro/internal/tt"
 )
 
-// NewHandler returns the follower HTTP surface over f with the default
-// /v2/map upload bound and no observability surface; see NewHandlerOpts.
-func NewHandler(f *Follower) http.Handler {
-	return NewHandlerOpts(f, federation.HandlerOptions{})
-}
-
 // NewHandlerOpts returns the follower's versioned API, mounted on the
 // shared api.Router. It speaks the same wire format as the primary's
 // federated handler, with the follower's read/write role distinction

@@ -5,10 +5,8 @@
 package replica
 
 import (
-	"context"
 	"strconv"
 
-	"repro/internal/federation"
 	"repro/internal/obs"
 )
 
@@ -30,8 +28,8 @@ const (
 func followerFams() []obs.FuncFamily {
 	arity := []string{"arity"}
 	return []obs.FuncFamily{
-		famLagSegments:       {Name: "npn_replica_lag_segments", Help: "Manifest segments the replication cursor has not passed, by arity.", Kind: obs.KindGauge, Labels: arity},
-		famLagBytes:          {Name: "npn_replica_lag_bytes", Help: "Manifest bytes the replication cursor has not passed, by arity.", Kind: obs.KindGauge, Labels: arity},
+		famLagSegments:       {Name: "npn_replica_lag_segments", Help: "Manifest segments the replication cursor had not passed when the last pass began, by arity.", Kind: obs.KindGauge, Labels: arity},
+		famLagBytes:          {Name: "npn_replica_lag_bytes", Help: "Manifest bytes the replication cursor had not passed when the last pass began, by arity.", Kind: obs.KindGauge, Labels: arity},
 		famAppliedRecords:    {Name: "npn_replica_applied_records_total", Help: "Records published into the local store, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSyncs:             {Name: "npn_replica_syncs_total", Help: "Tail-loop passes attempted.", Kind: obs.KindCounter},
 		famSyncErrors:        {Name: "npn_replica_sync_errors_total", Help: "Tail-loop passes that failed.", Kind: obs.KindCounter},
@@ -77,30 +75,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// RefreshLag re-measures every bootstrapped arity's lag against a fresh
-// manifest without tailing anything: one GET /v1/wal/segments, then the
-// same cursor-vs-manifest arithmetic a sync pass runs. A sync pass reads
-// to the live end of every segment and so reports zero lag by
-// construction; RefreshLag is how lag becomes observable between passes
-// — the lag gauges go nonzero the moment the primary appends, and back
-// to zero after the next catch-up. It never advances a cursor, applies
-// no records, and does not touch the staleness clock.
-func (f *Follower) RefreshLag(ctx context.Context) error {
-	var m federation.Manifest
-	if err := f.getJSON(ctx, "/v1/wal/segments", &m); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, am := range m.Arities {
-		a, ok := f.arities[am.Arity]
-		if !ok || !a.bootstrapped {
-			continue
-		}
-		a.updateLag(am)
-		f.arities[am.Arity] = a
-	}
-	return nil
 }

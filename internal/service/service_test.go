@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -33,7 +34,7 @@ func TestInsertMatchesClassifyParallel(t *testing.T) {
 	want := core.ClassifyParallel(n, cfg, fs, 0)
 
 	svc := newTestService(n, Options{})
-	results := svc.Insert(fs)
+	results := svc.InsertCtx(context.Background(), fs)
 	if len(results) != len(fs) {
 		t.Fatalf("got %d results for %d functions", len(results), len(fs))
 	}
@@ -62,6 +63,7 @@ func TestInsertMatchesClassifyParallel(t *testing.T) {
 // TestClassifyHitsWithWitness preloads a store and classifies NPN
 // variants through the batch path: every result must be a certified hit.
 func TestClassifyHitsWithWitness(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(500))
 	n := 5
 	svc := newTestService(n, Options{})
@@ -69,13 +71,13 @@ func TestClassifyHitsWithWitness(t *testing.T) {
 	for i := range base {
 		base[i] = tt.Random(n, rng)
 	}
-	svc.Insert(base)
+	svc.InsertCtx(ctx, base)
 
 	variants := make([]*tt.TT, 64)
 	for i := range variants {
 		variants[i] = npn.RandomTransform(n, rng).Apply(base[i%len(base)])
 	}
-	results := svc.Classify(variants)
+	results := svc.ClassifyCtx(ctx, variants)
 	for i, r := range results {
 		if !r.Hit {
 			t.Fatalf("variant %d missed its stored class", i)
@@ -95,7 +97,7 @@ func TestClassifyHitsWithWitness(t *testing.T) {
 func TestClassifyMissDoesNotInsert(t *testing.T) {
 	svc := newTestService(3, Options{})
 	f := tt.MustFromHex(3, "96")
-	r := svc.Classify([]*tt.TT{f})[0]
+	r := svc.ClassifyCtx(context.Background(), []*tt.TT{f})[0]
 	if r.Hit || r.Index != -1 || r.Rep != nil {
 		t.Fatal("miss must report Hit=false with no representative")
 	}
@@ -113,14 +115,15 @@ func TestClassifyMissDoesNotInsert(t *testing.T) {
 // TestCache asserts repeated classifications are served from the LRU and
 // stay identical to the uncached result.
 func TestCache(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(501))
 	n := 4
 	svc := newTestService(n, Options{Workers: 1, CacheSize: 8})
 	base := tt.Random(n, rng)
-	svc.Insert([]*tt.TT{base})
+	svc.InsertCtx(ctx, []*tt.TT{base})
 
-	first := svc.Classify([]*tt.TT{base})[0]
-	second := svc.Classify([]*tt.TT{base})[0]
+	first := svc.ClassifyCtx(ctx, []*tt.TT{base})[0]
+	second := svc.ClassifyCtx(ctx, []*tt.TT{base})[0]
 	if !second.Hit || second.Key != first.Key || second.Index != first.Index {
 		t.Fatal("cached result differs from uncached")
 	}
@@ -138,13 +141,14 @@ func TestCache(t *testing.T) {
 
 // TestCacheBounded floods the cache past capacity and asserts eviction.
 func TestCacheBounded(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(502))
 	n := 6
 	svc := newTestService(n, Options{CacheSize: 4})
 	fs := gen.UniformRandom(n, 64, 503)
-	svc.Insert(fs)
+	svc.InsertCtx(ctx, fs)
 	for _, f := range fs {
-		svc.Classify([]*tt.TT{f})
+		svc.ClassifyCtx(ctx, []*tt.TT{f})
 	}
 	if got := svc.Stats().CacheEntries; got > 4 {
 		t.Fatalf("cache grew to %d entries past capacity 4", got)
@@ -154,11 +158,12 @@ func TestCacheBounded(t *testing.T) {
 
 // TestCacheDisabled asserts CacheSize < 0 turns the cache off.
 func TestCacheDisabled(t *testing.T) {
+	ctx := context.Background()
 	svc := newTestService(3, Options{CacheSize: -1})
 	f := tt.MustFromHex(3, "e8")
-	svc.Insert([]*tt.TT{f})
-	svc.Classify([]*tt.TT{f})
-	svc.Classify([]*tt.TT{f})
+	svc.InsertCtx(ctx, []*tt.TT{f})
+	svc.ClassifyCtx(ctx, []*tt.TT{f})
+	svc.ClassifyCtx(ctx, []*tt.TT{f})
 	if st := svc.Stats(); st.CacheHits != 0 || st.CacheEntries != 0 || st.CacheCapacity != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}
@@ -167,6 +172,7 @@ func TestCacheDisabled(t *testing.T) {
 // TestConcurrentBatches hammers the pipeline from several goroutines (run
 // under -race): mixed inserts and classifications of NPN variants.
 func TestConcurrentBatches(t *testing.T) {
+	ctx := context.Background()
 	n := 5
 	seedRng := rand.New(rand.NewSource(504))
 	base := make([]*tt.TT, 20)
@@ -186,9 +192,9 @@ func TestConcurrentBatches(t *testing.T) {
 					batch[i] = npn.RandomTransform(n, rng).Apply(base[rng.Intn(len(base))])
 				}
 				if g%2 == 0 {
-					svc.Insert(batch)
+					svc.InsertCtx(ctx, batch)
 				} else {
-					for i, r := range svc.Classify(batch) {
+					for i, r := range svc.ClassifyCtx(ctx, batch) {
 						if r.Hit && !r.Witness.Apply(r.Rep).Equal(batch[i]) {
 							t.Error("concurrent witness does not verify")
 							return
@@ -212,7 +218,7 @@ func TestStatsCounters(t *testing.T) {
 	svc := New(store.New(n, store.Options{Shards: 2, Config: cfg}), Options{Workers: 1})
 	a := tt.MustFromHex(n, "0118")
 	b := tt.MustFromHex(n, "0182") // MSV collision with a, inequivalent
-	results := svc.Insert([]*tt.TT{a, b, a})
+	results := svc.InsertCtx(context.Background(), []*tt.TT{a, b, a})
 	if !results[0].New || !results[1].New || results[2].New {
 		t.Fatalf("insert outcomes %+v", results)
 	}
@@ -231,6 +237,7 @@ func TestStatsCounters(t *testing.T) {
 // TestBatchDedup: duplicate keys within one batch must cost one store
 // operation each, answer every copy identically, and be counted.
 func TestBatchDedup(t *testing.T) {
+	ctx := context.Background()
 	n := 5
 	svc := newTestService(n, Options{Workers: 3, CacheSize: -1})
 	rng := rand.New(rand.NewSource(900))
@@ -238,7 +245,7 @@ func TestBatchDedup(t *testing.T) {
 
 	// Insert a batch with heavy duplication: a ×4, b ×2.
 	batch := []*tt.TT{a, b, a, a, b, a}
-	ins := svc.Insert(batch)
+	ins := svc.InsertCtx(ctx, batch)
 	if !ins[0].New || !ins[1].New {
 		t.Fatal("first copies did not found their classes")
 	}
@@ -262,7 +269,7 @@ func TestBatchDedup(t *testing.T) {
 	}
 
 	// Classify the same shape: 4 duplicates saved, hits still count per copy.
-	res := svc.Classify(batch)
+	res := svc.ClassifyCtx(ctx, batch)
 	for i := range batch {
 		if !res[i].Hit {
 			t.Fatalf("classify %d missed", i)
@@ -296,7 +303,7 @@ func TestInflightBatches(t *testing.T) {
 			during = svc.InflightBatches()
 		},
 	})
-	svc.Classify([]*tt.TT{tt.MustFromHex(n, "e8")})
+	svc.ClassifyCtx(context.Background(), []*tt.TT{tt.MustFromHex(n, "e8")})
 	if during != 1 {
 		t.Fatalf("InflightBatches during batch = %d, want 1", during)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 // MSV key on both of its routes: a hint hit (the cheap OCV1+OIV hash plus
 // one budgeted match against the memoized profile) and a full-path hit
 // (the cheap hash, the full MSV hash, query profile build and chain
-// certification), each for a Lookup hit against a warm store and for an
-// Add of an already-stored class. The full path is forced by turning every
-// hint into a tombstone, the state an ambiguous cheap key leaves behind.
+// certification), each for a LookupCtx hit against a warm store and for
+// an AddCtx of an already-stored class. The full path is forced by
+// turning every hint into a tombstone, the state an ambiguous cheap key
+// leaves behind.
 // The bound is 2 (not 0) only to absorb a GC emptying the engine pool
 // mid-measurement; the steady-state path itself allocates nothing.
 //
@@ -23,6 +25,7 @@ import (
 // TestNoallocParity (noalloc_parity_test.go) keeps the annotation set
 // and this dynamic gate covering the same canonical list.
 func TestLookupHitAllocs(t *testing.T) {
+	ctx := context.Background()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the measured path")
 	}
@@ -32,7 +35,7 @@ func TestLookupHitAllocs(t *testing.T) {
 		fs := make([]*tt.TT, 64)
 		for i := range fs {
 			fs[i] = tt.Random(n, rng)
-			s.Add(fs[i])
+			s.AddCtx(ctx, fs[i])
 		}
 		// Disguised queries exercise real certification, not Equal fast
 		// paths; a warm pass populates the profile cache, the hints and the
@@ -46,7 +49,7 @@ func TestLookupHitAllocs(t *testing.T) {
 			queries[i] = tr.Apply(f)
 		}
 		for _, q := range queries {
-			if _, _, _, _, ok := s.Lookup(q); !ok {
+			if _, _, _, _, ok := s.LookupCtx(ctx, q); !ok {
 				t.Fatalf("n=%d: warm lookup missed", n)
 			}
 		}
@@ -59,7 +62,7 @@ func TestLookupHitAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(200, func() {
 				q := queries[i%len(queries)]
 				i++
-				if _, _, _, _, ok := s.Lookup(q); !ok {
+				if _, _, _, _, ok := s.LookupCtx(ctx, q); !ok {
 					t.Fatalf("%s n=%d: lookup missed", route, n)
 				}
 			})
@@ -69,7 +72,7 @@ func TestLookupHitAllocs(t *testing.T) {
 			allocs = testing.AllocsPerRun(200, func() {
 				q := queries[i%len(queries)]
 				i++
-				if _, _, isNew := s.Add(q); isNew {
+				if _, _, isNew := s.AddCtx(ctx, q); isNew {
 					t.Fatalf("%s n=%d: Add of a stored class founded a new one", route, n)
 				}
 			})
@@ -105,7 +108,7 @@ func (s *Store) hintStats() (live, tombstones int) {
 }
 
 // tombstoneHints marks every hinted cheap key ambiguous, so every later
-// Lookup and Add takes the full-key path.
+// LookupCtx and AddCtx takes the full-key path.
 func (s *Store) tombstoneHints() {
 	for i := range s.shards {
 		sh := &s.shards[i]

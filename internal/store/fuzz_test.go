@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // FuzzStoreLookupWitness fuzzes the store's certification invariant: for
-// random truth tables and random NPN disguises of them, every Lookup hit
+// random truth tables and random NPN disguises of them, every LookupCtx hit
 // must return a witness τ that actually transforms the returned
 // representative into the query (replayed with npn.Transform.Apply and
 // compared bit-for-bit), and a disguise of an inserted function must never
@@ -23,6 +24,7 @@ import (
 // cheap keys, balanced functions (both output phases) and degenerate
 // (constant) tables alike.
 func FuzzStoreLookupWitness(f *testing.F) {
+	ctx := context.Background()
 	f.Add(uint8(4), uint64(0xcafef00dcafef00d), uint64(0x0118), int64(1))
 	f.Add(uint8(6), uint64(0), uint64(^uint64(0)), int64(2))
 	f.Add(uint8(3), uint64(0x96), uint64(0xe8), int64(3))
@@ -41,8 +43,8 @@ func FuzzStoreLookupWitness(f *testing.F) {
 		// their cheap keys agree, so hints, chains and ambiguity all meet.
 		for _, cfg := range []core.Config{{}, hintConfig} {
 			s := New(n, Options{Shards: 2, Config: cfg})
-			s.Add(a)
-			s.Add(b)
+			s.AddCtx(ctx, a)
+			s.AddCtx(ctx, b)
 
 			// b first: when the pair shares a chain, b sits at index 1 and
 			// its hint is the first one published.
@@ -52,7 +54,7 @@ func FuzzStoreLookupWitness(f *testing.F) {
 					base = a
 				}
 				query := npn.RandomTransform(n, rng).Apply(base)
-				rep, key, index, w, ok := s.Lookup(query)
+				rep, key, index, w, ok := s.LookupCtx(ctx, query)
 				if !ok {
 					t.Fatalf("n=%d disguise %s of inserted %s missed", n, query.Hex(), base.Hex())
 				}
@@ -63,7 +65,7 @@ func FuzzStoreLookupWitness(f *testing.F) {
 					t.Fatalf("n=%d witness does not verify: τ(%s) = %s, want %s",
 						n, rep.Hex(), got.Hex(), query.Hex())
 				}
-				rep2, key2, index2, w2, ok2 := s.Lookup(query)
+				rep2, key2, index2, w2, ok2 := s.LookupCtx(ctx, query)
 				if !ok2 || key2 != key || index2 != index || !w2.Apply(rep2).Equal(query) {
 					t.Fatalf("n=%d disguise %s: second lookup (%v,%016x,%d), first (true,%016x,%d)",
 						n, query.Hex(), ok2, key2, index2, key, index)
@@ -73,7 +75,7 @@ func FuzzStoreLookupWitness(f *testing.F) {
 			probe := tt.FromUint64Seq(n, bitsA^(bitsB<<1|1))
 			want := npn.Equivalent(probe, a) || npn.Equivalent(probe, b)
 			for pass := 0; pass < 2; pass++ {
-				rep, _, _, w, ok := s.Lookup(probe)
+				rep, _, _, w, ok := s.LookupCtx(ctx, probe)
 				if ok != want {
 					t.Fatalf("n=%d probe %s (pass %d): hit=%v, npn.Equivalent says %v", n, probe.Hex(), pass, ok, want)
 				}

@@ -14,8 +14,8 @@ import (
 )
 
 // noallocGated is the canonical list of //npn:noalloc-annotated
-// functions: the zero-alloc store path behind a cached Store.Lookup hit
-// and an Add of a stored class, on the hint route and the full-key route
+// functions: the zero-alloc store path behind a cached Store.LookupCtx
+// hit and an AddCtx of a stored class, on the hint route and the full-key route
 // alike. The same list is guarded twice — dynamically by the
 // testing.AllocsPerRun gates (TestLookupHitAllocs here drives the whole
 // chain; sig's TestVectorAllocs and the api alloc gates cover their pieces

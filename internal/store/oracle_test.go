@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,7 @@ type ident struct {
 // appear; under the OCV1+OIV key the cheap key is also the class key, with
 // chains of up to 6, so hints, chains and the ambiguity rule meet.
 func TestExhaustive4VarStoreOracle(t *testing.T) {
+	ctx := context.Background()
 	const n = 4
 	universe := make([]*tt.TT, 1<<(1<<n))
 	canon := make([]uint64, len(universe))
@@ -57,7 +59,7 @@ func TestExhaustive4VarStoreOracle(t *testing.T) {
 			}
 			added := make([]ident, len(universe))
 			for x, f := range universe {
-				key, index, _ := s.Add(f)
+				key, index, _ := s.AddCtx(ctx, f)
 				if index < 0 {
 					t.Fatalf("insert of %s refused", f.Hex())
 				}
@@ -76,7 +78,7 @@ func TestExhaustive4VarStoreOracle(t *testing.T) {
 				for pass := 0; pass < 2; pass++ {
 					for _, x := range order {
 						f := universe[x]
-						rep, key, index, w, ok := s.Lookup(f)
+						rep, key, index, w, ok := s.LookupCtx(ctx, f)
 						if !ok {
 							t.Fatalf("%s pass %d: %s missed", stage, pass, f.Hex())
 						}

@@ -45,6 +45,7 @@ func sameClassSet(a, b []string) bool {
 // drops them), and a fresh Recover must reproduce the exact class set —
 // representatives and counts — of the pre-kill store.
 func TestRecoverKillDuringInserts(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	n := 6
 	s, _, err := Recover(dir, n, Options{Shards: 4}, wal.Options{SegmentBytes: 1 << 12})
@@ -61,10 +62,10 @@ func TestRecoverKillDuringInserts(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + g)))
 			for i := 0; i < per; i++ {
 				f := tt.Random(n, rng)
-				s.Add(f)
+				s.AddCtx(ctx, f)
 				// Also insert an NPN variant: a certified hit, must not
 				// create (or log) a second class.
-				s.Add(npn.RandomTransform(n, rng).Apply(f))
+				s.AddCtx(ctx, npn.RandomTransform(n, rng).Apply(f))
 			}
 		}(g)
 	}
@@ -88,7 +89,7 @@ func TestRecoverKillDuringInserts(t *testing.T) {
 	// The recovered store still serves: variants of recovered classes hit.
 	rng := rand.New(rand.NewSource(9))
 	for _, f := range r.allReps()[:10] {
-		if _, _, _, _, ok := r.Lookup(npn.RandomTransform(n, rng).Apply(f)); !ok {
+		if _, _, _, _, ok := r.LookupCtx(ctx, npn.RandomTransform(n, rng).Apply(f)); !ok {
 			t.Fatal("recovered store misses a variant of its own class")
 		}
 	}
@@ -118,7 +119,7 @@ func TestRecoverLosesOnlyUnsyncedTail(t *testing.T) {
 	inserted := make(map[string]bool)
 	for i := 0; i < 50; i++ {
 		f := tt.Random(n, rng)
-		if _, _, isNew := s.Add(f); isNew {
+		if _, _, isNew := s.AddCtx(context.Background(), f); isNew {
 			inserted[f.Hex()] = true
 		}
 		if i == 24 {
@@ -147,6 +148,7 @@ func TestRecoverLosesOnlyUnsyncedTail(t *testing.T) {
 // must recover correctly into a store keyed by another — the logged keys
 // are untrusted and every record takes the re-hash path.
 func TestRecoverConfigMismatch(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	n := 6
 	s, w, err := Recover(dir, n, Options{}, wal.Options{}) // full config
@@ -158,7 +160,7 @@ func TestRecoverConfigMismatch(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		f := tt.Random(n, rng)
 		fs = append(fs, f)
-		s.Add(f)
+		s.AddCtx(ctx, f)
 	}
 	size := s.Size()
 	if err := w.Close(); err != nil {
@@ -174,7 +176,7 @@ func TestRecoverConfigMismatch(t *testing.T) {
 		t.Fatalf("recovered %d classes under new config, want %d", r.Size(), size)
 	}
 	for _, f := range fs {
-		if _, _, _, _, ok := r.Lookup(npn.RandomTransform(n, rng).Apply(f)); !ok {
+		if _, _, _, _, ok := r.LookupCtx(ctx, npn.RandomTransform(n, rng).Apply(f)); !ok {
 			t.Fatal("class lost across a configuration change")
 		}
 	}
@@ -184,6 +186,7 @@ func TestRecoverConfigMismatch(t *testing.T) {
 // same store as the log alone did, including when stale segments overlap
 // the snapshot after a crashed compaction.
 func TestRecoverAfterCompaction(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	n := 7
 	s, w, err := Recover(dir, n, Options{}, wal.Options{SegmentBytes: 1 << 10})
@@ -192,7 +195,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 30; i++ {
-		s.Add(tt.Random(n, rng))
+		s.AddCtx(ctx, tt.Random(n, rng))
 	}
 	want := classSet(s)
 
@@ -201,7 +204,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ { // post-compaction inserts land in the log
-		s.Add(tt.Random(n, rng))
+		s.AddCtx(ctx, tt.Random(n, rng))
 	}
 	want = classSet(s)
 	if err := w.Close(); err != nil {
@@ -231,11 +234,12 @@ func (j *failingJournal) Commit(context.Context) error { return nil }
 // TestJournalFailureRefusesInsert: write-ahead ordering means a class the
 // journal cannot log is never published.
 func TestJournalFailureRefusesInsert(t *testing.T) {
+	ctx := context.Background()
 	s := New(5, Options{})
 	j := &failingJournal{}
 	s.SetJournal(j)
 	f := tt.Random(5, rand.New(rand.NewSource(31)))
-	key, index, isNew := s.Add(f)
+	key, index, isNew := s.AddCtx(ctx, f)
 	if isNew || index != -1 {
 		t.Fatalf("Add published despite journal failure: key=%d index=%d new=%v", key, index, isNew)
 	}
@@ -245,7 +249,7 @@ func TestJournalFailureRefusesInsert(t *testing.T) {
 	if s.JournalErrors() != 1 || j.calls != 1 {
 		t.Fatalf("journal errors %d (calls %d), want 1", s.JournalErrors(), j.calls)
 	}
-	if _, _, _, _, ok := s.Lookup(f); ok {
+	if _, _, _, _, ok := s.LookupCtx(ctx, f); ok {
 		t.Fatal("refused insert is servable")
 	}
 }
@@ -261,10 +265,11 @@ func (commitFailJournal) Commit(context.Context) error                    { retu
 // still be reported refused (index -1) and counted, because it is not
 // durable.
 func TestCommitFailureReportsRefusal(t *testing.T) {
+	ctx := context.Background()
 	s := New(5, Options{})
 	s.SetJournal(commitFailJournal{})
 	f := tt.Random(5, rand.New(rand.NewSource(37)))
-	_, index, isNew := s.Add(f)
+	_, index, isNew := s.AddCtx(ctx, f)
 	if isNew || index != -1 {
 		t.Fatalf("commit failure acknowledged as success: index=%d new=%v", index, isNew)
 	}
@@ -272,7 +277,7 @@ func TestCommitFailureReportsRefusal(t *testing.T) {
 		t.Fatalf("journal errors %d, want 1", s.JournalErrors())
 	}
 	// Published-but-not-durable: served until restart, by design.
-	if _, _, _, _, ok := s.Lookup(f); !ok {
+	if _, _, _, _, ok := s.LookupCtx(ctx, f); !ok {
 		t.Fatal("committed-failed class should still serve until restart")
 	}
 }
@@ -282,6 +287,7 @@ func TestCommitFailureReportsRefusal(t *testing.T) {
 // replay and snapshot re-add — must reproduce them exactly. Uses the
 // known OCV1+OIV key collision pair 0118/0182.
 func TestRecoverPreservesChainOrder(t *testing.T) {
+	ctx := context.Background()
 	cfg := core.Config{OCV1: true, OIV: true}
 	a := tt.MustFromHex(4, "0118")
 	b := tt.MustFromHex(4, "0182")
@@ -291,8 +297,8 @@ func TestRecoverPreservesChainOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka, ia, _ := s.Add(a)
-	kb, ib, _ := s.Add(b)
+	ka, ia, _ := s.AddCtx(ctx, a)
+	kb, ib, _ := s.AddCtx(ctx, b)
 	if ka != kb || ia != 0 || ib != 1 {
 		t.Fatalf("pair no longer collides as (0,1): (%d,%d)", ia, ib)
 	}
@@ -307,10 +313,10 @@ func TestRecoverPreservesChainOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		if _, key, idx, _, ok := r.Lookup(a); !ok || key != ka || idx != 0 {
+		if _, key, idx, _, ok := r.LookupCtx(ctx, a); !ok || key != ka || idx != 0 {
 			t.Fatalf("%s: a recovered as (%016x,%d), want (%016x,0)", stage, key, idx, ka)
 		}
-		if _, key, idx, _, ok := r.Lookup(b); !ok || key != kb || idx != 1 {
+		if _, key, idx, _, ok := r.LookupCtx(ctx, b); !ok || key != kb || idx != 1 {
 			t.Fatalf("%s: b recovered as (%016x,%d), want (%016x,1)", stage, key, idx, kb)
 		}
 	}
@@ -334,7 +340,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 	if s.Size() != 0 {
 		t.Fatalf("fresh recovery holds %d classes", s.Size())
 	}
-	s.Add(tt.MustFromHex(4, "1ee1"))
+	s.AddCtx(context.Background(), tt.MustFromHex(4, "1ee1"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 // insert path but accepts replicated applies, and serves lookups for
 // what arrived through them.
 func TestReadOnlyStoreRefusesAdd(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(31))
 	primary := New(6, Options{})
 	follower := New(6, Options{ReadOnly: true})
@@ -19,7 +21,7 @@ func TestReadOnlyStoreRefusesAdd(t *testing.T) {
 	}
 
 	f := tt.Random(6, rng)
-	if key, idx, isNew := follower.Add(f); isNew || idx != -1 || key != 0 {
+	if key, idx, isNew := follower.AddCtx(ctx, f); isNew || idx != -1 || key != 0 {
 		t.Fatalf("read-only Add returned (%d,%d,%v), want refusal", key, idx, isNew)
 	}
 	if follower.Size() != 0 {
@@ -28,7 +30,7 @@ func TestReadOnlyStoreRefusesAdd(t *testing.T) {
 
 	// Replicate through the trusted path: same config, so the primary's
 	// key is trusted verbatim.
-	key, idx, isNew := primary.Add(f)
+	key, idx, isNew := primary.AddCtx(ctx, f)
 	if !isNew {
 		t.Fatal("primary insert not new")
 	}
@@ -38,7 +40,7 @@ func TestReadOnlyStoreRefusesAdd(t *testing.T) {
 	if follower.ApplyLogRecord(primary.Fingerprint(), key, f) {
 		t.Fatal("duplicate apply published twice")
 	}
-	rep, gotKey, gotIdx, _, ok := follower.Lookup(f)
+	rep, gotKey, gotIdx, _, ok := follower.LookupCtx(ctx, f)
 	if !ok || gotKey != key || gotIdx != idx || !rep.Equal(f) {
 		t.Fatalf("replicated lookup (%v, %d, %d)", ok, gotKey, gotIdx)
 	}
@@ -55,7 +57,7 @@ func TestApplyLogRecordUntrusted(t *testing.T) {
 	if !s.ApplyLogRecord(s.Fingerprint()+1, bogusKey, f) {
 		t.Fatal("untrusted apply not published")
 	}
-	rep, key, _, _, ok := s.Lookup(f)
+	rep, key, _, _, ok := s.LookupCtx(context.Background(), f)
 	if !ok || !rep.Equal(f) {
 		t.Fatal("untrusted apply not servable")
 	}
@@ -72,6 +74,7 @@ func TestApplyLogRecordUntrusted(t *testing.T) {
 // publishes once, and chain indices reproduce the snapshot order — the
 // identity contract followers rely on.
 func TestApplySnapshotDeterministicChains(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(33))
 	var fs []*tt.TT
 	for i := 0; i < 40; i++ {
@@ -97,8 +100,8 @@ func TestApplySnapshotDeterministicChains(t *testing.T) {
 	}
 	b.ApplySnapshot(uniq)
 	for _, f := range uniq {
-		_, ka, ia, _, oka := a.Lookup(f)
-		_, kb, ib, _, okb := b.Lookup(f)
+		_, ka, ia, _, oka := a.LookupCtx(ctx, f)
+		_, kb, ib, _, okb := b.LookupCtx(ctx, f)
 		if !oka || !okb || ka != kb || ia != ib {
 			t.Fatalf("identity diverged: (%v %d %d) vs (%v %d %d)", oka, ka, ia, okb, kb, ib)
 		}

@@ -5,8 +5,8 @@
 //
 // Signatures are a necessary condition for NPN equivalence only, so two
 // inequivalent functions may share a key. Every key therefore holds a
-// collision chain of representatives: Add certifies f against each chain
-// member with the exact matcher before founding a new class, and Lookup
+// collision chain of representatives: AddCtx certifies f against each chain
+// member with the exact matcher before founding a new class, and LookupCtx
 // returns the member the matcher certifies together with a witness
 // transform. No class is ever silently merged and no false equivalence is
 // ever reported — the matcher has the last word on every hit.
@@ -25,7 +25,7 @@
 // RWMutex. The first query against a representative builds its profile
 // (a miss); every later query reuses it (a hit), so the hot serve path
 // stops rebuilding the representative's signature profile per query and
-// builds only the query's own profile — once per Lookup, shared across
+// builds only the query's own profile — once per LookupCtx, shared across
 // the whole collision chain and both output phases. Profiles are keyed by
 // (class key, chain index) and representatives are immutable and never
 // removed, so a memoized profile can never go stale; chain growth only
@@ -34,8 +34,8 @@
 // In front of the full-MSV key sits a hint index, the paper's staged
 // refinement (§IV-B) applied to the store: each shard maps the cheap
 // OCV1+OIV hash of every profiled class to that class's identity and
-// memoized profile. Lookup and Add hash the cheap stage first; when it
-// holds a live hint, one node-budgeted match against the hinted profile
+// memoized profile. LookupCtx and AddCtx hash the cheap stage first; when
+// it holds a live hint, one node-budgeted match against the hinted profile
 // certifies the hit and the full MSV is never computed. Anything
 // else — no hint, a refutation, an exhausted budget, a cheap key shared by
 // two profiled classes — falls through to the full-key path, which then
@@ -100,7 +100,7 @@ type Options struct {
 	// use a weak key to force collision chains at small arities, where the
 	// full MSV is exact.
 	Config core.Config
-	// ReadOnly refuses every Add: the public insert path returns a
+	// ReadOnly refuses every AddCtx: the public insert path returns a
 	// refusal (index -1) without touching the store. Replication followers
 	// run read-only stores — classes arrive only through the replicated
 	// apply path (ApplySnapshot, ApplyLogRecord), which bypasses the gate.
@@ -186,7 +186,7 @@ type Store struct {
 	readOnly bool
 
 	// journal, when set, is the write-ahead hook for new-class inserts.
-	// Written once by SetJournal before concurrent use, read by Add.
+	// Written once by SetJournal before concurrent use, read by AddCtx.
 	journal     Journal
 	journalErrs atomic.Int64
 
@@ -239,7 +239,7 @@ func (s *Store) Config() core.Config { return s.cfg }
 // compare to decide whether a logged class key can be trusted.
 func (s *Store) Fingerprint() uint64 { return s.fp }
 
-// ReadOnly reports whether the public Add path is gated off.
+// ReadOnly reports whether the public AddCtx path is gated off.
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // SetJournal installs the write-ahead hook: every subsequent certified
@@ -310,10 +310,10 @@ func (s *Store) publishProfile(sh *shard, key uint64, i int, rp *match.RepProfil
 // certifyChain scans the snapshotted chain from member from onward for a
 // member NPN-equivalent to f, returning its index, its memoized profile
 // and a witness τ with τ(reps[i]) = f. It is the shared certification core
-// of Add and Lookup: it matches f's query profile q against each member's
-// memoized profile, building and publishing missing ones. q may be nil; it
-// is then built on the first member whose satisfy count is compatible, so
-// a count-incompatible miss never pays for it. A traced context records
+// of AddCtx and LookupCtx: it matches f's query profile q against each
+// member's memoized profile, building and publishing missing ones. q may
+// be nil; it is then built on the first member whose satisfy count is
+// compatible, so a count-incompatible miss never pays for it. A traced context records
 // the chain walk as a store.certify span with the chain length and
 // profile-cache outcome.
 //
@@ -415,33 +415,30 @@ func (s *Store) noteHit(cheap uint64, out hintOutcome, h hint) {
 	sh.mu.Unlock()
 }
 
-// Add inserts f's class if absent, returning the class key, the position
-// of its representative in the key's collision chain, and whether a new
-// class was created (f becomes a representative). f is certified against
-// every chain member with the exact matcher, so an MSV collision founds a
-// new chained class rather than silently merging.
+// AddCtx inserts f's class if absent, returning the class key, the
+// position of its representative in the key's collision chain, and
+// whether a new class was created (f becomes a representative). f is
+// certified against every chain member with the exact matcher, so an MSV
+// collision founds a new chained class rather than silently merging.
 //
 // With a journal installed, a new class is logged before it is published
-// and committed before Add returns; it is durable on return only when the
-// journal's Commit syncs (internal/wal's group mode returns before its
-// next flush, so a crash within one interval can lose it). A logging failure
-// refuses the insert — Add returns index -1 with isNew false, the class
-// is not published, and the failure is counted in JournalErrors. A
-// commit failure is also reported as a refusal (index -1, counted), but
-// the class is already published: it will serve lookups until the next
-// restart, after which only what the log durably holds survives —
-// callers seeing a refusal must treat the insert as not persisted.
+// and committed before AddCtx returns; it is durable on return only when
+// the journal's Commit syncs (internal/wal's group mode returns before its
+// next flush, so a crash within one interval can lose it). A logging
+// failure refuses the insert — AddCtx returns index -1 with isNew false,
+// the class is not published, and the failure is counted in
+// JournalErrors. A commit failure is also reported as a refusal (index
+// -1, counted), but the class is already published: it will serve lookups
+// until the next restart, after which only what the log durably holds
+// survives — callers seeing a refusal must treat the insert as not
+// persisted.
 //
-// On a read-only store Add refuses immediately (key 0, index -1) without
-// hashing; only the replicated apply path can publish into it.
-func (s *Store) Add(f *tt.TT) (key uint64, index int, isNew bool) {
-	return s.AddCtx(context.Background(), f)
-}
-
-// AddCtx is Add with the request context threaded through for tracing:
-// the insert runs under a store.add span, the chain certification under
-// store.certify, and the journal receives the context for its append and
-// fsync phases (internal/wal records them as wal.* spans).
+// On a read-only store AddCtx refuses immediately (key 0, index -1)
+// without hashing; only the replicated apply path can publish into it.
+//
+// ctx carries tracing: the insert runs under a store.add span, the chain
+// certification under store.certify, and the journal receives ctx for its
+// append and fsync phases (internal/wal records them as wal.* spans).
 func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, isNew bool) {
 	if s.readOnly {
 		return 0, -1, false
@@ -449,7 +446,7 @@ func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, is
 	return s.addCertified(ctx, f)
 }
 
-// addCertified is the certified insert path shared by Add and the
+// addCertified is the certified insert path shared by AddCtx and the
 // untrusted branch of ApplyLogRecord: hint probe, hash, chain
 // certification, journal, publication. It ignores the read-only gate,
 // which governs only the public surface.
@@ -551,7 +548,7 @@ func (s *Store) addRecovered(key uint64, f *tt.TT) bool {
 // was already present, the idempotence that makes replicated re-delivery
 // — a follower re-bootstrapping after primary compaction — safe).
 // ApplyLogRecord bypasses the read-only gate: it is how classes enter a
-// follower's store. Safe for concurrent use with Lookup, so a follower
+// follower's store. Safe for concurrent use with LookupCtx, so a follower
 // keeps serving while records stream in.
 func (s *Store) ApplyLogRecord(meta uint64, key uint64, f *tt.TT) bool {
 	if f.NumVars() != s.n {
@@ -593,20 +590,16 @@ func (s *Store) ApplySnapshot(fs []*tt.TT) int {
 	return published
 }
 
-// Lookup finds f's class. On a hit it returns the chain representative
-// certified by the exact matcher, the class identity (key, chain index),
-// and a witness transform τ with τ(rep) = f. A key hit whose chain holds
-// no equivalent representative is a miss: f's class is not stored. The
-// returned key is valid even on a miss (it identifies where f's class
-// would live).
-func (s *Store) Lookup(f *tt.TT) (rep *tt.TT, key uint64, index int, witness npn.Transform, ok bool) {
-	return s.LookupCtx(context.Background(), f)
-}
-
-// LookupCtx is Lookup with the request context threaded through for
-// tracing: the shard probe runs under a store.lookup span (the hint
-// outcome, and on the full-key path the shard index and chain length, as
-// attributes) with the chain walk nested as store.certify.
+// LookupCtx finds f's class. On a hit it returns the chain
+// representative certified by the exact matcher, the class identity (key,
+// chain index), and a witness transform τ with τ(rep) = f. A key hit whose
+// chain holds no equivalent representative is a miss: f's class is not
+// stored. The returned key is valid even on a miss (it identifies where
+// f's class would live).
+//
+// ctx carries tracing: the shard probe runs under a store.lookup span (the
+// hint outcome, and on the full-key path the shard index and chain length,
+// as attributes) with the chain walk nested as store.certify.
 //
 //npn:noalloc
 func (s *Store) LookupCtx(ctx context.Context, f *tt.TT) (rep *tt.TT, key uint64, index int, witness npn.Transform, ok bool) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -12,20 +13,21 @@ import (
 )
 
 func TestAddLookupWitness(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(300))
 	n := 5
 	s := New(n, Options{Shards: 4})
 	base := make([]*tt.TT, 12)
 	for i := range base {
 		base[i] = tt.Random(n, rng)
-		s.Add(base[i])
+		s.AddCtx(ctx, base[i])
 	}
 	if s.Size() > len(base) {
 		t.Fatalf("size %d > %d inserted", s.Size(), len(base))
 	}
 	for _, f := range base {
 		variant := npn.RandomTransform(n, rng).Apply(f)
-		rep, _, _, w, ok := s.Lookup(variant)
+		rep, _, _, w, ok := s.LookupCtx(ctx, variant)
 		if !ok {
 			t.Fatalf("variant of stored class missed")
 		}
@@ -36,10 +38,11 @@ func TestAddLookupWitness(t *testing.T) {
 }
 
 func TestLookupMissReturnsKey(t *testing.T) {
+	ctx := context.Background()
 	s := New(3, Options{})
-	s.Add(tt.MustFromHex(3, "e8"))
+	s.AddCtx(ctx, tt.MustFromHex(3, "e8"))
 	f := tt.MustFromHex(3, "96") // parity: different class
-	rep, key, index, _, ok := s.Lookup(f)
+	rep, key, index, _, ok := s.LookupCtx(ctx, f)
 	if ok || rep != nil || index != -1 {
 		t.Fatal("parity must miss a majority-only store")
 	}
@@ -60,6 +63,7 @@ func (s *Store) keyOf(f *tt.TT) uint64 {
 // but are not NPN-equivalent, so both must be stored as separate classes
 // under one key.
 func TestCollisionChain(t *testing.T) {
+	ctx := context.Background()
 	n := 4
 	a := tt.MustFromHex(n, "0118")
 	b := tt.MustFromHex(n, "0182")
@@ -74,8 +78,8 @@ func TestCollisionChain(t *testing.T) {
 	}
 
 	s := New(n, Options{Shards: 2, Config: cfg})
-	ka, ia, newA := s.Add(a)
-	kb, ib, newB := s.Add(b)
+	ka, ia, newA := s.AddCtx(ctx, a)
+	kb, ib, newB := s.AddCtx(ctx, b)
 	if !newA || !newB {
 		t.Fatalf("both colliding functions must found classes: newA=%v newB=%v", newA, newB)
 	}
@@ -89,7 +93,7 @@ func TestCollisionChain(t *testing.T) {
 		t.Fatalf("size=%d collisions=%d, want 2 and 1", s.Size(), s.Collisions())
 	}
 	for want, f := range []*tt.TT{a, b} {
-		rep, _, idx, w, ok := s.Lookup(f)
+		rep, _, idx, w, ok := s.LookupCtx(ctx, f)
 		if !ok || idx != want {
 			t.Fatalf("chained class %s: ok=%v idx=%d, want hit at %d", f.Hex(), ok, idx, want)
 		}
@@ -98,7 +102,7 @@ func TestCollisionChain(t *testing.T) {
 		}
 	}
 	// Idempotence across the chain.
-	if _, _, isNew := s.Add(a.Clone()); isNew {
+	if _, _, isNew := s.AddCtx(ctx, a.Clone()); isNew {
 		t.Fatal("re-add of chained representative created a class")
 	}
 }
@@ -108,6 +112,7 @@ func TestCollisionChain(t *testing.T) {
 // functions; readers look up other variants. At the end every base class
 // must be present exactly once.
 func TestConcurrentAddLookup(t *testing.T) {
+	ctx := context.Background()
 	n := 5
 	const (
 		numBase    = 24
@@ -130,9 +135,9 @@ func TestConcurrentAddLookup(t *testing.T) {
 			for op := 0; op < opsPerG; op++ {
 				f := npn.RandomTransform(n, rng).Apply(base[rng.Intn(numBase)])
 				if op%2 == 0 {
-					s.Add(f)
+					s.AddCtx(ctx, f)
 				} else {
-					if rep, _, _, w, ok := s.Lookup(f); ok && !w.Apply(rep).Equal(f) {
+					if rep, _, _, w, ok := s.LookupCtx(ctx, f); ok && !w.Apply(rep).Equal(f) {
 						t.Error("concurrent witness does not verify")
 						return
 					}
@@ -147,7 +152,7 @@ func TestConcurrentAddLookup(t *testing.T) {
 	ref := New(n, Options{})
 	distinct := 0
 	for _, f := range base {
-		if _, _, isNew := ref.Add(f); isNew {
+		if _, _, isNew := ref.AddCtx(ctx, f); isNew {
 			distinct++
 		}
 	}
@@ -156,7 +161,7 @@ func TestConcurrentAddLookup(t *testing.T) {
 	}
 	// And every base class must now be found.
 	for _, f := range base {
-		if _, _, _, _, ok := s.Lookup(f); !ok {
+		if _, _, _, _, ok := s.LookupCtx(ctx, f); !ok {
 			// A base function is only guaranteed present if some goroutine
 			// added one of its variants; with 480 adds over 24 classes this
 			// is morally certain, so treat a miss as a real failure.
@@ -186,7 +191,7 @@ func TestConcurrentCollisionChain(t *testing.T) {
 					f = b
 				}
 				for i := 0; i < 20; i++ {
-					s.Add(f.Clone())
+					s.AddCtx(context.Background(), f.Clone())
 				}
 			}(g)
 		}
@@ -204,19 +209,20 @@ func TestConcurrentCollisionChain(t *testing.T) {
 // the same memoized profile — and entries never exceed the class count.
 // FuzzStoreLookupWitness checks the verdicts against npn.Equivalent.
 func TestProfileCacheCounters(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(310))
 	n := 6
 	s := New(n, Options{Shards: 4})
 	base := make([]*tt.TT, 10)
 	for i := range base {
 		base[i] = tt.Random(n, rng)
-		s.Add(base[i])
+		s.AddCtx(ctx, base[i])
 	}
 	for round := 0; round < 3; round++ {
 		for _, f := range base {
 			v := npn.RandomTransform(n, rng).Apply(f)
 			hits0, misses0, _ := s.ProfileCacheStats()
-			rep, _, _, w, ok := s.Lookup(v)
+			rep, _, _, w, ok := s.LookupCtx(ctx, v)
 			if !ok {
 				t.Fatal("variant of stored class missed")
 			}
@@ -248,7 +254,7 @@ func TestShardSizes(t *testing.T) {
 	n := 5
 	s := New(n, Options{Shards: 4})
 	for i := 0; i < 50; i++ {
-		s.Add(tt.Random(n, rng))
+		s.AddCtx(context.Background(), tt.Random(n, rng))
 	}
 	total := 0
 	for _, c := range s.ShardSizes() {
@@ -278,7 +284,7 @@ func TestArityMismatchPanics(t *testing.T) {
 			t.Fatal("arity mismatch must panic")
 		}
 	}()
-	s.Add(tt.MustFromHex(3, "e8"))
+	s.AddCtx(context.Background(), tt.MustFromHex(3, "e8"))
 }
 
 // TestConcurrentFoundingOneClassPerNPNClass races many writers founding
@@ -289,6 +295,7 @@ func TestArityMismatchPanics(t *testing.T) {
 // shard lock and the append retried; whatever the interleaving, each NPN
 // class must be founded exactly once and every disguise must hit it.
 func TestConcurrentFoundingOneClassPerNPNClass(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(330))
 	h := tt.Random(6, rng)
 	crafted := tt.FromFunc(8, func(x int) bool { return (x&1 == 1) != (x>>1&1 == 1) != h.Get(x>>2) })
@@ -312,7 +319,7 @@ func TestConcurrentFoundingOneClassPerNPNClass(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(340 + 8*trial + g)))
 					for i := 0; i < 3; i++ {
 						base := tc.classes[(g+i)%len(tc.classes)]
-						s.Add(npn.RandomTransform(tc.n, rng).Apply(base))
+						s.AddCtx(ctx, npn.RandomTransform(tc.n, rng).Apply(base))
 					}
 				}(g)
 			}
@@ -321,7 +328,7 @@ func TestConcurrentFoundingOneClassPerNPNClass(t *testing.T) {
 				t.Fatalf("%s trial %d: %d classes founded, want %d", tc.name, trial, s.Size(), len(tc.classes))
 			}
 			for _, f := range tc.classes {
-				if rep, _, _, w, ok := s.Lookup(f); !ok || !w.Apply(rep).Equal(f) {
+				if rep, _, _, w, ok := s.LookupCtx(ctx, f); !ok || !w.Apply(rep).Equal(f) {
 					t.Fatalf("%s trial %d: class %s not found after concurrent founding", tc.name, trial, f.Hex())
 				}
 			}

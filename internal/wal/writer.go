@@ -192,22 +192,16 @@ func (w *Writer) createSegment(seq uint64) error {
 	return nil
 }
 
-// Append logs one class insert. With FsyncEvery zero the record is on
+// Append logs one class insert outside any store: LogInsert then Commit,
+// each with context.Background(). With FsyncEvery zero the record is on
 // disk when Append returns; otherwise it is durable after the next group
 // fsync (at most one interval away).
 func (w *Writer) Append(key uint64, f *tt.TT) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.rotateIfFullLocked(); err != nil {
+	ctx := context.Background()
+	if err := w.LogInsert(ctx, key, f); err != nil {
 		return err
 	}
-	if err := w.appendLocked(key, f); err != nil {
-		return err
-	}
-	if w.opts.FsyncEvery <= 0 {
-		return w.syncLocked()
-	}
-	return nil
+	return w.Commit(ctx)
 }
 
 // rotateIfFullLocked rotates when the active segment has reached the
@@ -363,16 +357,6 @@ func (w *Writer) Seal() (activeSeq uint64, err error) {
 	}
 	return w.seq, nil
 }
-
-// ActiveSeq returns the active segment's sequence number.
-func (w *Writer) ActiveSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
-// Dir returns the log directory.
-func (w *Writer) Dir() string { return w.dir }
 
 // Close flushes and fsyncs outstanding appends, stops the background
 // flusher and closes the active segment. Close is idempotent.

@@ -16,7 +16,8 @@ import (
 )
 
 // TestAPIKeySentOnEveryPath: WithAPIKey stamps the Authorization header
-// on every request path.
+// on every request path. The fake answers JSON, so the client is pinned
+// to the JSON transport.
 func TestAPIKeySentOnEveryPath(t *testing.T) {
 	ctx := context.Background()
 	var got atomic.Value
@@ -26,7 +27,7 @@ func TestAPIKeySentOnEveryPath(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	c := client.New(srv.URL, client.WithAPIKey("sekrit"))
+	c := client.New(srv.URL, client.WithAPIKey("sekrit"), client.WithJSONTransport())
 	if _, err := c.Classify(ctx, []string{"e8e8"}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,12 @@ import (
 	"repro/internal/tt"
 )
 
-// The client auto-negotiates the length-framed binary transport of
+// The client negotiates the length-framed binary transport of
 // docs/WIRE.md: when every function in a batch names its arity
 // unambiguously, Classify and Insert send a binary frame and ask for a
-// binary response. The first proof that the server does not speak it —
-// an unsupported_media_type refusal, or a 200 that is not a binary
-// frame — latches a permanent JSON fallback for the client's lifetime,
-// so one round trip is the whole cost of probing an older server.
-
-// useBinary reports whether the binary transport is still worth trying.
-func (c *Client) useBinary() bool { return !c.jsonOnly && !c.binaryOff.Load() }
+// binary response. A server that refuses the frame answers with its own
+// *api.Error (unsupported_media_type), which is returned as is;
+// WithJSONTransport pins the JSON envelope instead.
 
 // parseBinaryBatch parses a hex batch into truth tables with the arity
 // each hex length implies. It reports ok=false — meaning "send this
@@ -52,93 +48,65 @@ func parseBinaryBatch(fns []string) ([]*tt.TT, bool) {
 }
 
 // postBinary sends one binary-framed batch and returns the binary
-// response body. fallback=true (always alongside a non-nil error) means
-// the server does not speak the transport and the caller should retry
-// the same batch as JSON — the permanent fallback flag is already set.
-func (c *Client) postBinary(ctx context.Context, path string, fs []*tt.TT) (body []byte, fallback bool, err error) {
+// response body.
+func (c *Client) postBinary(ctx context.Context, path string, fs []*tt.TT) ([]byte, error) {
 	frame := api.EncodeBinaryRequest(fs, false)
 	status, resp, err := c.doAccept(ctx, http.MethodPost, path,
 		api.BinaryContentType, api.BinaryContentType, frame)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if status != http.StatusOK {
-		err := decodeAPIError(status, resp)
-		if apiErr, ok := err.(*api.Error); ok && apiErr.Code == api.CodeUnsupportedMediaType {
-			c.binaryOff.Store(true)
-			return nil, true, err
-		}
-		return nil, false, err
+		return nil, decodeAPIError(status, resp)
 	}
-	// A 200 that does not open with the frame magic is a server (or
-	// intermediary) that ignored the negotiation and answered JSON.
-	if len(resp) < 2 || resp[0] != 'N' || resp[1] != 'B' {
-		c.binaryOff.Store(true)
-		return nil, true, fmt.Errorf("client: %s: 200 response is not a binary frame", path)
-	}
-	return resp, false, nil
+	return resp, nil
 }
 
 // classifyBinary runs one classify batch over the binary transport and
-// reshapes the decoded frame into the same ClassifyResponse the JSON
-// path returns, echoing the caller's own hex strings.
-func (c *Client) classifyBinary(ctx context.Context, fns []string, fs []*tt.TT) (*api.ClassifyResponse, bool, error) {
-	body, fallback, err := c.postBinary(ctx, "/v2/classify", fs)
+// reshapes the decoded frame, through the server's own item encoder, into
+// the same ClassifyResponse the JSON path returns, echoing the caller's
+// own hex strings.
+func (c *Client) classifyBinary(ctx context.Context, fns []string, fs []*tt.TT) (*api.ClassifyResponse, error) {
+	body, err := c.postBinary(ctx, "/v2/classify", fs)
 	if err != nil {
-		return nil, fallback, err
+		return nil, err
 	}
-	items, err := api.DecodeBinaryClassify(body)
+	res, err := api.DecodeBinaryClassify(body)
 	if err != nil {
-		return nil, false, fmt.Errorf("client: decoding binary classify response: %w", err)
+		return nil, fmt.Errorf("client: decoding binary classify response: %w", err)
 	}
-	if len(items) != len(fns) {
-		return nil, false, fmt.Errorf("client: binary classify response has %d items, want %d", len(items), len(fns))
+	if len(res) != len(fns) {
+		return nil, fmt.Errorf("client: binary classify response has %d items, want %d", len(res), len(fns))
 	}
-	out := &api.ClassifyResponse{Results: make([]api.ClassifyItem, len(items))}
-	for i, it := range items {
-		if it.Err != nil {
-			out.Results[i] = api.ClassifyItem{Function: fns[i], Error: it.Err}
+	out := &api.ClassifyResponse{Results: make([]api.ClassifyItem, len(res))}
+	for i, r := range res {
+		out.Results[i] = api.NewClassifyItem(fns[i], r, r.Err)
+		if r.Err != nil {
 			out.Errors++
-			continue
 		}
-		ci := api.ClassifyItem{Function: fns[i], Hit: it.Hit, Class: api.KeyHex(it.Key)}
-		if it.Hit {
-			idx := it.Index
-			ci.Index = &idx
-			ci.Rep = it.Rep.Hex()
-			ci.Witness = api.NewWitness(it.Witness)
-		}
-		out.Results[i] = ci
 	}
-	return out, false, nil
+	return out, nil
 }
 
 // insertBinary is classifyBinary's insert twin.
-func (c *Client) insertBinary(ctx context.Context, fns []string, fs []*tt.TT) (*api.InsertResponse, bool, error) {
-	body, fallback, err := c.postBinary(ctx, "/v2/insert", fs)
+func (c *Client) insertBinary(ctx context.Context, fns []string, fs []*tt.TT) (*api.InsertResponse, error) {
+	body, err := c.postBinary(ctx, "/v2/insert", fs)
 	if err != nil {
-		return nil, fallback, err
+		return nil, err
 	}
-	items, err := api.DecodeBinaryInsert(body)
+	res, err := api.DecodeBinaryInsert(body)
 	if err != nil {
-		return nil, false, fmt.Errorf("client: decoding binary insert response: %w", err)
+		return nil, fmt.Errorf("client: decoding binary insert response: %w", err)
 	}
-	if len(items) != len(fns) {
-		return nil, false, fmt.Errorf("client: binary insert response has %d items, want %d", len(items), len(fns))
+	if len(res) != len(fns) {
+		return nil, fmt.Errorf("client: binary insert response has %d items, want %d", len(res), len(fns))
 	}
-	out := &api.InsertResponse{Results: make([]api.InsertItem, len(items))}
-	for i, it := range items {
-		if it.Err != nil {
-			out.Results[i] = api.InsertItem{Function: fns[i], Error: it.Err}
+	out := &api.InsertResponse{Results: make([]api.InsertItem, len(res))}
+	for i, o := range res {
+		out.Results[i] = api.NewInsertItem(fns[i], o, o.Err)
+		if o.Err != nil {
 			out.Errors++
-			continue
-		}
-		out.Results[i] = api.InsertItem{
-			Function: fns[i],
-			Class:    api.KeyHex(it.Key),
-			Index:    it.Index,
-			New:      it.New,
 		}
 	}
-	return out, false, nil
+	return out, nil
 }

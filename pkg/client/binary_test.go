@@ -1,7 +1,6 @@
 // Binary-transport negotiation from the client's side: parity with the
-// JSON envelope against a real server, the permanent JSON fallback
-// against servers that refuse the frame, and the cases that must skip
-// binary up front.
+// JSON envelope against a real server, a refusal surfacing as the
+// server's error, and the cases that must skip binary up front.
 package client_test
 
 import (
@@ -102,8 +101,9 @@ func TestBinaryTransportParity(t *testing.T) {
 	}
 }
 
-// jsonOnlyServer mimics a pre-binary npnserve: a binary Content-Type is
-// refused with the unsupported_media_type envelope, JSON is served.
+// jsonOnlyServer mimics a server that speaks only JSON: a binary
+// Content-Type is refused with the unsupported_media_type envelope, JSON
+// is served.
 type jsonOnlyServer struct {
 	requests atomic.Int32
 	binary   atomic.Int32
@@ -129,9 +129,10 @@ func (s *jsonOnlyServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, api.ClassifyResponse{Results: items})
 }
 
-// TestBinaryFallbackLatches: one unsupported_media_type refusal makes
-// the client JSON-only for its lifetime — the second call never probes.
-func TestBinaryFallbackLatches(t *testing.T) {
+// TestBinaryRefusalSurfaces: a server that refuses the binary frame
+// answers with its own unsupported_media_type error, which the client
+// returns after that one request — it does not retry the batch as JSON.
+func TestBinaryRefusalSurfaces(t *testing.T) {
 	ctx := context.Background()
 	backend := &jsonOnlyServer{}
 	srv := httptest.NewServer(backend)
@@ -139,18 +140,12 @@ func TestBinaryFallbackLatches(t *testing.T) {
 	c := client.New(srv.URL)
 	fns := []string{tt.Random(6, rand.New(rand.NewSource(92))).Hex()}
 
-	cls, err := c.Classify(ctx, fns)
-	if err != nil || len(cls.Results) != 1 || cls.Results[0].Function != fns[0] {
-		t.Fatalf("fallback classify: %v %+v", err, cls)
+	_, err := c.Classify(ctx, fns)
+	if e, ok := err.(*api.Error); !ok || e.Code != api.CodeUnsupportedMediaType {
+		t.Fatalf("err = %v, want unsupported_media_type api.Error", err)
 	}
-	if got := backend.requests.Load(); got != 2 {
-		t.Fatalf("first call made %d requests, want 2 (probe + JSON retry)", got)
-	}
-	if _, err := c.Classify(ctx, fns); err != nil {
-		t.Fatal(err)
-	}
-	if got, bin := backend.requests.Load(), backend.binary.Load(); got != 3 || bin != 1 {
-		t.Fatalf("after latch: %d requests (%d binary), want 3 (1 binary)", got, bin)
+	if got, bin := backend.requests.Load(), backend.binary.Load(); got != 1 || bin != 1 {
+		t.Fatalf("%d requests (%d binary), want 1 (1 binary)", got, bin)
 	}
 }
 

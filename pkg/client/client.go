@@ -31,7 +31,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -56,10 +55,8 @@ type Client struct {
 	retries int
 	backoff time.Duration
 	apiKey  string
-	// jsonOnly pins the JSON transport (WithJSONTransport); binaryOff
-	// latches once a server proves it does not speak the binary frame.
-	jsonOnly  bool
-	binaryOff atomic.Bool
+	// jsonOnly pins the JSON transport (WithJSONTransport).
+	jsonOnly bool
 }
 
 // Option configures a Client.
@@ -85,8 +82,9 @@ func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = 
 func WithAPIKey(key string) Option { return func(c *Client) { c.apiKey = key } }
 
 // WithJSONTransport pins Classify and Insert to the JSON envelope,
-// disabling the binary-frame negotiation. Useful against intermediaries
-// that inspect bodies, or when debugging with text-only tooling.
+// disabling the binary-frame negotiation. Useful against servers or
+// intermediaries that refuse the frame or inspect bodies, or when
+// debugging with text-only tooling.
 func WithJSONTransport() Option { return func(c *Client) { c.jsonOnly = true } }
 
 // New returns a client for the server at base (e.g. "http://host:8080").
@@ -109,9 +107,9 @@ func (c *Client) Base() string { return c.base }
 // Classify looks up a batch of hex truth tables via POST /v2/classify.
 // Per-item failures are on the returned items; the error return is for
 // envelope-level failures only. When every function's arity is
-// unambiguous the batch travels as a binary frame (docs/WIRE.md),
-// falling back to the JSON envelope — permanently, after one refusal —
-// against servers that do not speak it. A batch longer than api.MaxBatch
+// unambiguous the batch travels as a binary frame (docs/WIRE.md), unless
+// WithJSONTransport pinned the JSON envelope; a server's refusal of the
+// frame is returned as its *api.Error. A batch longer than api.MaxBatch
 // goes out as consecutive requests of at most MaxBatch functions and
 // comes back as one response: results in input order, Errors summed. An
 // envelope error on any request fails the whole call.
@@ -122,15 +120,9 @@ func (c *Client) Classify(ctx context.Context, fns []string) (*api.ClassifyRespo
 			into.Errors += chunk.Errors
 		})
 	}
-	if c.useBinary() {
+	if !c.jsonOnly {
 		if fs, ok := parseBinaryBatch(fns); ok {
-			out, fallback, err := c.classifyBinary(ctx, fns, fs)
-			if err == nil {
-				return out, nil
-			}
-			if !fallback {
-				return nil, err
-			}
+			return c.classifyBinary(ctx, fns, fs)
 		}
 	}
 	var out api.ClassifyResponse
@@ -152,15 +144,9 @@ func (c *Client) Insert(ctx context.Context, fns []string) (*api.InsertResponse,
 			into.Errors += chunk.Errors
 		})
 	}
-	if c.useBinary() {
+	if !c.jsonOnly {
 		if fs, ok := parseBinaryBatch(fns); ok {
-			out, fallback, err := c.insertBinary(ctx, fns, fs)
-			if err == nil {
-				return out, nil
-			}
-			if !fallback {
-				return nil, err
-			}
+			return c.insertBinary(ctx, fns, fs)
 		}
 	}
 	var out api.InsertResponse

@@ -67,7 +67,7 @@ func newPrimaryAndFollower(t *testing.T, mode replica.Mode) (pc, fc *client.Clie
 		t.Fatal(err)
 	}
 	fol = replica.New(freg, replica.Options{Primary: psrv.URL, Mode: mode})
-	fsrv := httptest.NewServer(replica.NewHandler(fol))
+	fsrv := httptest.NewServer(replica.NewHandlerOpts(fol, federation.HandlerOptions{}))
 	t.Cleanup(fsrv.Close)
 	return client.New(psrv.URL), client.New(fsrv.URL), fol, psrv
 }
