@@ -55,8 +55,9 @@
 // new-class insert is logged before it is served, and a restart — clean
 // or kill -9 — recovers every fsynced class. -fsync-interval bounds the
 // crash-loss window (0 fsyncs every append), -segment-bytes sets the log
-// rotation threshold, and -compact-every runs background compaction
-// (0 leaves compaction to POST /v2/compact).
+// rotation threshold, and -compact-every runs background compaction of
+// the segments rotation has sealed (0 leaves compaction to POST
+// /v2/compact).
 //
 // With -follow the server is a replication follower instead: a read-only
 // replica that bootstraps from the primary's latest snapshot, tails its
@@ -191,7 +192,7 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory: per-arity WAL + snapshot under n<arity>/ (empty = memory only)")
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", 100*time.Millisecond, "WAL group-fsync interval; 0 fsyncs every append (with -data)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", wal.DefaultSegmentBytes, "WAL segment rotation threshold in bytes (with -data)")
-	flag.DurationVar(&cfg.compactEvery, "compact-every", 0, "background WAL compaction period; 0 disables (with -data)")
+	flag.DurationVar(&cfg.compactEvery, "compact-every", 0, "background WAL compaction period, folding what log rotation sealed; 0 disables (with -data)")
 	flag.StringVar(&cfg.follow, "follow", "", "run as a read-only replication follower of this primary base URL")
 	flag.StringVar(&cfg.followMode, "follow-mode", "proxy", "follower miss/insert handling: \"proxy\" (forward to primary) or \"local\" (serve misses, refuse inserts)")
 	flag.DurationVar(&cfg.followInterval, "follow-interval", replica.DefaultInterval, "follower WAL tail poll period (with -follow)")
@@ -511,7 +512,7 @@ func buildFollower(cfg config, logger *log.Logger) (*replica.Follower, error) {
 		return nil, fmt.Errorf("-follow-mode: %w", err)
 	}
 	reg, err := federation.New(lo, hi, federation.Options{
-		Store:   store.Options{Shards: cfg.shards, Config: keyCfg, ReadOnly: true},
+		Store:   store.Options{Shards: cfg.shards, Config: keyCfg},
 		Service: service.Options{Workers: cfg.workers, CacheSize: cfg.cache},
 	})
 	if err != nil {

@@ -21,17 +21,6 @@ type fakeBackend struct {
 	insertErr *Error
 }
 
-func (b *fakeBackend) Resolve(s string) (*tt.TT, *Error) {
-	if len(s) != HexDigits(4) {
-		return nil, Errf(CodeArityOutOfRange, "want %d digits", HexDigits(4))
-	}
-	f, err := tt.FromHex(4, s)
-	if err != nil {
-		return nil, Errf(CodeBadHex, "%v", err)
-	}
-	return f, nil
-}
-
 func (b *fakeBackend) CheckArity(n int) *Error {
 	if n != 4 {
 		return Errf(CodeArityOutOfRange, "arity %d; want 4", n)
@@ -346,22 +335,26 @@ func (b *refusingBackend) Insert(_ context.Context, fs []*tt.TT) ([]InsertOutcom
 	return out, nil
 }
 
+// mapRecorder is a fakeBackend that keeps the last batch inserted.
+type mapRecorder struct {
+	fakeBackend
+	inserted []*tt.TT
+}
+
+func (b *mapRecorder) Insert(ctx context.Context, fs []*tt.TT) ([]InsertOutcome, *Error) {
+	b.inserted = fs
+	return b.fakeBackend.Insert(ctx, fs)
+}
+
 // TestMapHandler: parameter validation, content-type gate, verified
-// mapping with census, insert callback plumbing, read_only without one.
+// mapping with census, insert backend plumbing, read_only without one.
 func TestMapHandler(t *testing.T) {
 	var aag strings.Builder
 	if err := aig.WriteAAG(&aag, gen.RippleCarryAdder(4)); err != nil {
 		t.Fatal(err)
 	}
-	var inserted []*tt.TT
-	h := HandleMap(MapConfig{Insert: func(_ context.Context, fs []*tt.TT) ([]InsertOutcome, *Error) {
-		inserted = fs
-		out := make([]InsertOutcome, len(fs))
-		for i := range out {
-			out[i] = InsertOutcome{New: true}
-		}
-		return out, nil
-	}})
+	rb := &mapRecorder{}
+	h := HandleMap(MapConfig{Insert: rb})
 
 	rec := postReq(h, "/v2/map?k=4&mode=area&insert=true", "text/plain", aag.String())
 	if rec.Code != 200 {
@@ -377,6 +370,7 @@ func TestMapHandler(t *testing.T) {
 	if resp.Area == 0 || resp.Area != len(resp.LUTs) || len(resp.Classes) == 0 {
 		t.Fatalf("mapping shape %+v", resp)
 	}
+	inserted := rb.inserted
 	if resp.Inserted == nil || resp.Inserted.Functions != len(inserted) || resp.Inserted.ClassesCreated != len(inserted) {
 		t.Fatalf("insert summary %+v (%d offered)", resp.Inserted, len(inserted))
 	}
@@ -388,11 +382,12 @@ func TestMapHandler(t *testing.T) {
 
 	// Param errors.
 	for q, code := range map[string]Code{
-		"?k=1":      CodeArityOutOfRange,
-		"?k=zz":     CodeBadRequest,
-		"?mode=up":  CodeBadRequest,
-		"?cuts=0":   CodeBadRequest,
-		"?insert=q": CodeBadRequest,
+		"?k=1":             CodeArityOutOfRange,
+		"?k=5&insert=true": CodeArityOutOfRange, // fakeBackend serves only 4
+		"?k=zz":            CodeBadRequest,
+		"?mode=up":         CodeBadRequest,
+		"?cuts=0":          CodeBadRequest,
+		"?insert=q":        CodeBadRequest,
 	} {
 		rec := postReq(h, "/v2/map"+q, "text/plain", aag.String())
 		if decodeEnvelope(t, rec.Body.Bytes()).Code != code {
@@ -451,5 +446,21 @@ func TestWitnessRoundTrip(t *testing.T) {
 	}
 	if _, err := (&Witness{Perm: []int{0, 5}}).Transform(); err == nil {
 		t.Fatal("out-of-range perm accepted")
+	}
+}
+
+// TestHexArity checks that HexArity inverts HexDigits over every arity a
+// table can have, reads one digit as two variables, and names no arity
+// for any other length.
+func TestHexArity(t *testing.T) {
+	for n := 2; n <= tt.MaxVars; n++ {
+		if got, ok := HexArity(HexDigits(n)); !ok || got != n {
+			t.Fatalf("HexArity(%d) = (%d, %v), want arity %d", HexDigits(n), got, ok, n)
+		}
+	}
+	for _, d := range []int{-1, 0, 3, 6, 12, 2 * HexDigits(tt.MaxVars)} {
+		if n, ok := HexArity(d); ok {
+			t.Fatalf("HexArity(%d) named arity %d", d, n)
+		}
 	}
 }

@@ -68,9 +68,9 @@ func (in batch) echo(i int) string {
 // two transports the request declared. Envelope failures (content type,
 // byte bound, malformed JSON or frame, empty batch, MaxBatch) are
 // whole-request errors written as JSON error envelopes, on both
-// transports, and report ok=false. A function that parses but is not
-// served becomes a per-item error: b.Resolve decides for hex strings,
-// b.CheckArity for the frame's explicit arity bytes.
+// transports, and report ok=false. A function whose arity is not served
+// becomes a per-item error from b.CheckArity, whether the arity came from
+// the frame's arity byte or from the hex length (HexArity).
 func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Request) (batch, bool) {
 	if IsBinaryRequest(r) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
@@ -126,9 +126,19 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 		hex:  req.Functions,
 	}
 	for i, s := range req.Functions {
-		f, e := b.Resolve(s)
-		if e != nil {
+		n, ok := HexArity(len(s))
+		if !ok {
+			in.errs[i] = Errf(CodeArityOutOfRange, "hex truth table of %d digits matches no federated arity", len(s)).
+				WithDetail("an n-variable table has max(1, 2^n/4) hex digits")
+			continue
+		}
+		if e := b.CheckArity(n); e != nil {
 			in.errs[i] = e
+			continue
+		}
+		f, err := tt.FromHex(n, s)
+		if err != nil {
+			in.errs[i] = Errf(CodeBadHex, "%v", err)
 			continue
 		}
 		in.fs[i] = f

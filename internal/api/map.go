@@ -118,12 +118,13 @@ type MapConfig struct {
 	// MaxBody bounds the AIGER upload; zero or negative means
 	// DefaultMaxBody.
 	MaxBody int64
-	// Insert, when non-nil, stores a batch of K-ary LUT functions on
-	// ?insert=true; the context is the map request's, so a forwarding
+	// Insert, when non-nil, stores the K-ary LUT functions on
+	// ?insert=true: its CheckArity(K) is asked before any mapping work,
+	// and its Insert gets the map request's context, so a forwarding
 	// follower's primary round trip dies with the client. Nil (a stack
 	// that cannot write, e.g. a read-only follower) makes ?insert=true
-	// fail with read_only before any mapping work.
-	Insert func(ctx context.Context, fs []*tt.TT) ([]InsertOutcome, *Error)
+	// fail with read_only, also before any mapping work.
+	Insert Backend
 }
 
 // ParseMapParams reads and validates the query parameters.
@@ -184,9 +185,15 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 		}
 		// A doomed insert is refused before the expensive mapping pass,
 		// not after it.
-		if p.Insert && cfg.Insert == nil {
-			WriteError(w, Errf(CodeReadOnly, "this server does not accept inserts; retry without insert=true"))
-			return
+		if p.Insert {
+			if cfg.Insert == nil {
+				WriteError(w, Errf(CodeReadOnly, "this server does not accept inserts; retry without insert=true"))
+				return
+			}
+			if e := cfg.Insert.CheckArity(p.K); e != nil {
+				WriteError(w, e)
+				return
+			}
 		}
 		// The body is read whole before parsing so the limit breach is
 		// still a typed *http.MaxBytesError here — aig.ReadAAG flattens
@@ -289,10 +296,7 @@ func censusRows(classes map[uint64]int) []ClassCount {
 
 // insertMapped feeds the mapping's distinct K-ary LUT functions into the
 // store, warming the classifier with real mapping traffic.
-func insertMapped(ctx context.Context, insert func(context.Context, []*tt.TT) ([]InsertOutcome, *Error), res *mapper.Result, k int) (*MapInsertSummary, *Error) {
-	if insert == nil {
-		return nil, Errf(CodeReadOnly, "this server does not accept inserts; retry without insert=true")
-	}
+func insertMapped(ctx context.Context, b Backend, res *mapper.Result, k int) (*MapInsertSummary, *Error) {
 	seen := make(map[string]bool, len(res.LUTs))
 	var fs []*tt.TT
 	for _, l := range res.LUTs {
@@ -307,7 +311,7 @@ func insertMapped(ctx context.Context, insert func(context.Context, []*tt.TT) ([
 		seen[h] = true
 		fs = append(fs, fk)
 	}
-	outcomes, e := insert(ctx, fs)
+	outcomes, e := b.Insert(ctx, fs)
 	if e != nil {
 		return nil, e
 	}

@@ -14,9 +14,9 @@ import (
 const MaxBatch = 1 << 16
 
 // BatchRequest is the body of POST /v2/classify and POST /v2/insert: a
-// batch of hexadecimal truth tables. Which arities are accepted — one
-// fixed arity, or inference from the hex length — is the mounting stack's
-// choice, expressed through its Backend.Resolve.
+// batch of hexadecimal truth tables. Each function's arity is the one its
+// hex length names (HexArity); which arities are served is the mounting
+// stack's choice, expressed through its Backend.CheckArity.
 type BatchRequest struct {
 	Functions []string `json:"functions"`
 }
@@ -153,7 +153,7 @@ func (o InsertOutcome) itemError() *Error {
 }
 
 // Backend is what a serving stack plugs into the shared /v2 batch
-// handlers: arity selection with its error coding, and the batch
+// handlers: the served arities with their error coding, and the batch
 // pipeline operations. The context is the request's — a forwarding
 // follower threads it into its primary calls.
 //
@@ -162,15 +162,11 @@ func (o InsertOutcome) itemError() *Error {
 // (read_only on a local-mode follower, primary_unreachable on a
 // forwarding one, a failed store recovery).
 type Backend interface {
-	// Resolve parses one hex function, choosing its arity. A nil *Error
-	// means the function is valid; resolution must also make the arity's
-	// store ready, so Classify/Insert on resolved functions cannot fail
+	// CheckArity reports whether n-variable functions are served; both
+	// request transports, and /v2/map?insert=true for its k, ask it
+	// before any other work. A nil *Error must also make the arity's
+	// store ready, so Classify/Insert on checked functions cannot fail
 	// per item.
-	Resolve(hex string) (*tt.TT, *Error)
-	// CheckArity is Resolve for transports that carry each function's
-	// arity explicitly (the binary frame) instead of encoding it in the
-	// hex length: it reports whether n-variable functions are served,
-	// with the same readiness contract.
 	CheckArity(n int) *Error
 	Classify(ctx context.Context, fs []*tt.TT) ([]Result, *Error)
 	Insert(ctx context.Context, fs []*tt.TT) ([]InsertOutcome, *Error)
@@ -217,6 +213,19 @@ func HexDigits(n int) int {
 		d = 1
 	}
 	return d
+}
+
+// HexArity is the inverse of HexDigits: the arity whose hex truth tables
+// have the given number of digits. One digit means two variables (the
+// widest table it holds); a length that is HexDigits(n) for no n in
+// 2..tt.MaxVars reports ok=false.
+func HexArity(digits int) (n int, ok bool) {
+	for n := 2; n <= tt.MaxVars; n++ {
+		if HexDigits(n) == digits {
+			return n, true
+		}
+	}
+	return 0, false
 }
 
 // MaxBodyBytes bounds the JSON batch request body for a stack whose

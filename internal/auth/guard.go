@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,21 +37,6 @@ type Options struct {
 	// on every request and must be cheap (atomic loads).
 	Pressure func() (depth, limit int64)
 
-	// MaxClients caps the rate-limit bucket table (see Limiter); zero
-	// means DefaultMaxClients.
-	MaxClients int
-
-	// Exempt lists route patterns that bypass every check. Nil means
-	// DefaultExempt (/healthz and /metrics); an explicitly empty slice
-	// exempts nothing.
-	Exempt []string
-
-	// AuthOnly lists route patterns that still authenticate but skip
-	// rate limiting and load shedding. Nil means DefaultAuthOnly (the
-	// flight-recorder debug endpoints); an explicitly empty slice puts
-	// every non-exempt route through the full check sequence.
-	AuthOnly []string
-
 	// TrustedProxies lists CIDRs of load balancers whose X-Forwarded-For
 	// the guard believes. Only when the TCP peer is inside one of these
 	// prefixes does the anonymous tier bucket by the rightmost
@@ -65,17 +51,17 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// DefaultExempt are the routes a zero-valued Options.Exempt bypasses:
-// liveness probes and metric scrapes must keep answering through
-// exactly the overload the guard manages.
+// DefaultExempt are the routes that bypass every check: liveness probes
+// and metric scrapes must keep answering through exactly the overload
+// the guard manages.
 var DefaultExempt = []string{"/healthz", "/metrics"}
 
-// DefaultAuthOnly are the routes a zero-valued Options.AuthOnly puts in
-// the authenticate-but-never-throttle tier: flight-recorder reads name
-// client identities and routes, so on a keyed edge they demand the same
-// credentials as any API route — but a trace of the slow request is
-// worth nothing if the guard 429s the read of it, so an authorized
-// operator is never rate-limited or shed away from them.
+// DefaultAuthOnly are the routes in the authenticate-but-never-throttle
+// tier, which skips rate limiting and load shedding: flight-recorder
+// reads name client identities and routes, so on a keyed edge they
+// demand the same credentials as any API route — but a trace of the slow
+// request is worth nothing if the guard 429s the read of it, so an
+// authorized operator is never rate-limited or shed away from them.
 var DefaultAuthOnly = []string{"/v2/debug/traces", "/v2/debug/traces/{id}"}
 
 // Guard is the admission-control middleware: authentication, per-client
@@ -87,8 +73,6 @@ type Guard struct {
 	anonBurst int
 	pressure  func() (int64, int64)
 	limiter   Limiter
-	exempt    map[string]bool
-	authOnly  map[string]bool
 	trusted   []netip.Prefix
 
 	// Counters may be nil (no metrics registry mounted).
@@ -104,9 +88,6 @@ func NewGuard(o Options) *Guard {
 		anonRPS:   o.AnonRPS,
 		anonBurst: o.AnonBurst,
 		pressure:  o.Pressure,
-		limiter:   Limiter{MaxClients: o.MaxClients},
-		exempt:    make(map[string]bool),
-		authOnly:  make(map[string]bool),
 		trusted:   o.TrustedProxies,
 	}
 	if g.anonBurst <= 0 {
@@ -115,20 +96,6 @@ func NewGuard(o Options) *Guard {
 		} else {
 			g.anonBurst = 1
 		}
-	}
-	exempt := o.Exempt
-	if exempt == nil {
-		exempt = DefaultExempt
-	}
-	for _, r := range exempt {
-		g.exempt[r] = true
-	}
-	authOnly := o.AuthOnly
-	if authOnly == nil {
-		authOnly = DefaultAuthOnly
-	}
-	for _, r := range authOnly {
-		g.authOnly[r] = true
 	}
 	if o.Metrics != nil {
 		g.unauthorized = o.Metrics.CounterVec("npn_http_unauthorized_total",
@@ -147,10 +114,10 @@ func NewGuard(o Options) *Guard {
 // authentication before rate limiting — so a saturated server spends as
 // little as possible per rejected request.
 func (g *Guard) Wrap(route string, next http.HandlerFunc) http.HandlerFunc {
-	if g.exempt[route] {
+	if slices.Contains(DefaultExempt, route) {
 		return next
 	}
-	authOnly := g.authOnly[route]
+	authOnly := slices.Contains(DefaultAuthOnly, route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		// The guard span ends before the handler runs: it times the
 		// admission decision, not the request. Child spans of the work

@@ -8,8 +8,9 @@
 //
 // The Guard in guard.go packages the three checks as one middleware in
 // the api.Middleware shape, so both serving stacks (federated primary,
-// replication follower) mount it with a single rt.Use. /healthz and /metrics are exempt by default: probes and
-// scrapes must survive exactly the overload the guard exists to manage.
+// replication follower) mount it with a single rt.Use. /healthz and
+// /metrics are exempt: probes and scrapes must survive exactly the
+// overload the guard exists to manage.
 package auth
 
 import (

@@ -133,12 +133,6 @@ func New(n int, cfg Config) *Classifier {
 	return &Classifier{n: n, cfg: cfg, depth: depth, eng: sig.NewEngine(n)}
 }
 
-// NumVars returns the arity this classifier serves.
-func (c *Classifier) NumVars() int { return c.n }
-
-// Config returns the signature selection.
-func (c *Classifier) Config() Config { return c.cfg }
-
 // KeyBytes returns the canonical serialized MSV of f. The returned slice is
 // freshly allocated and owned by the caller.
 func (c *Classifier) KeyBytes(f *tt.TT) []byte {

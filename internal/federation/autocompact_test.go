@@ -120,3 +120,33 @@ func TestAutoCompactUnderInserts(t *testing.T) {
 	}
 	t.Logf("%d acknowledged inserts recovered through snapshot and log", len(acked))
 }
+
+// TestAutoCompactWaitsForRotation: background passes leave an arity whose
+// log has not rotated alone. Three inserts into default-size segments
+// under a 1 ms compaction interval must leave the manifest listing only
+// segment 1 and no snapshot.
+func TestAutoCompactWaitsForRotation(t *testing.T) {
+	reg, err := New(6, 6, Options{Data: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	rng := rand.New(rand.NewSource(67))
+	fs := []*tt.TT{tt.Random(6, rng), tt.Random(6, rng), tt.Random(6, rng)}
+	if _, err := reg.InsertCtx(context.Background(), fs); err != nil {
+		t.Fatal(err)
+	}
+	stop := reg.StartAutoCompact(time.Millisecond, func(err error) {
+		t.Errorf("auto-compaction pass failed: %v", err)
+	})
+	time.Sleep(50 * time.Millisecond)
+	stop()
+
+	m, err := reg.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Arities) != 1 || m.Arities[0].HasSnapshot || len(m.Arities[0].Segments) != 1 || m.Arities[0].Segments[0].Seq != 1 {
+		t.Fatalf("manifest %+v, want segment 1 alone and no snapshot", m)
+	}
+}

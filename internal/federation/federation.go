@@ -7,19 +7,19 @@
 // into input order, so one server handles every federated arity behind a
 // single API.
 //
-// The federated HTTP surface in http.go infers each function's arity from
-// its hex truth-table length, which is why MinVars must be at least 2:
-// below that, distinct arities share the one-digit encoding and the wire
-// form would be ambiguous.
+// The federated HTTP surface in http.go reads each JSON function's arity
+// from its hex truth-table length (api.HexArity), which is why MinVars
+// must be at least 2: below that, distinct arities share the one-digit
+// encoding, which the wire reads as two variables.
 //
 // With Options.Data set the federation is durable: each arity keeps a WAL
 // directory (snapshot + log segments, internal/wal) under
 // <Data>/n<arity>/, its store is rebuilt from that directory on first use
 // (store.Recover) and journals every certified new-class insert from then
-// on. CompactAll folds every arity's sealed segments into its snapshot —
-// on demand (the POST /v2/compact admin endpoint) or periodically
-// (StartAutoCompact) — and the per-arity stats gain the log's shape:
-// segments, bytes, fsync lag.
+// on. CompactAll folds every arity's log into its snapshot on demand (the
+// POST /v2/compact admin endpoint); StartAutoCompact folds, periodically,
+// the arities whose log rotation has sealed a segment. The per-arity
+// stats gain the log's shape: segments, bytes, fsync lag.
 package federation
 
 import (
@@ -79,7 +79,7 @@ type Registry struct {
 	obs           *obsHooks
 	obsRegistered bool
 
-	compactMu sync.Mutex // serializes CompactAll passes
+	compactMu sync.Mutex // serializes compaction passes
 }
 
 // New returns a registry federating arities lo..hi inclusive.
@@ -180,12 +180,19 @@ type CompactResult struct {
 	wal.CompactStats
 }
 
-// CompactAll folds every active arity's sealed log segments (plus its
-// previous snapshot) into a fresh snapshot and deletes the folded
-// segments — the federation-wide persistence compaction. Passes are
-// serialized; concurrent inserts proceed against the active segments. The
-// slice holds one entry per arity compacted before any error.
-func (r *Registry) CompactAll() ([]CompactResult, error) {
+// CompactAll seals every active arity's log segment, folds the sealed
+// segments (plus the previous snapshot) into a fresh snapshot and deletes
+// the folded segments — the federation-wide persistence compaction.
+// Passes are serialized; concurrent inserts proceed against the fresh
+// active segments. The slice holds one entry per arity compacted before
+// any error.
+func (r *Registry) CompactAll() ([]CompactResult, error) { return r.compact(true) }
+
+// compact is one compaction pass. Without force (the StartAutoCompact
+// loop) it leaves an arity alone until log rotation has sealed one of its
+// segments, so a trickle of inserts neither seals a tiny segment nor
+// rewrites the whole snapshot on every pass.
+func (r *Registry) compact(force bool) ([]CompactResult, error) {
 	if !r.Durable() {
 		return nil, ErrNotDurable
 	}
@@ -194,7 +201,7 @@ func (r *Registry) CompactAll() ([]CompactResult, error) {
 	out := []CompactResult{}
 	for _, n := range r.Active() {
 		w := r.writer(n)
-		if w == nil {
+		if w == nil || !force && w.Stats().SealedSegments == 0 {
 			continue
 		}
 		c := &wal.Compactor{Dir: r.ArityDir(n), N: n, W: w}
@@ -207,10 +214,11 @@ func (r *Registry) CompactAll() ([]CompactResult, error) {
 	return out, nil
 }
 
-// StartAutoCompact runs CompactAll every interval on a background
+// StartAutoCompact runs a compaction pass every interval on a background
 // goroutine until the returned stop function is called (the goroutine's
-// only exit). Pass errors are delivered to onErr (may be nil) and do not
-// stop the loop.
+// only exit). A pass compacts, as CompactAll does, only the arities whose
+// log rotation has sealed a segment since their last fold. Pass errors
+// are delivered to onErr (may be nil) and do not stop the loop.
 func (r *Registry) StartAutoCompact(every time.Duration, onErr func(error)) (stop func()) {
 	quit := make(chan struct{})
 	done := make(chan struct{})
@@ -223,7 +231,7 @@ func (r *Registry) StartAutoCompact(every time.Duration, onErr func(error)) (sto
 			case <-quit:
 				return
 			case <-t.C:
-				if _, err := r.CompactAll(); err != nil && onErr != nil {
+				if _, err := r.compact(false); err != nil && onErr != nil {
 					onErr(err)
 				}
 			}

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -233,29 +232,5 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	if st.MinVars != 4 || st.MaxVars != 6 {
 		t.Fatalf("range %d..%d, want 4..6", st.MinVars, st.MaxVars)
-	}
-}
-
-// TestArityOfHex checks the hex-length → arity inference table.
-func TestArityOfHex(t *testing.T) {
-	r := mustNew(t, 2, 10)
-	for n := 2; n <= 10; n++ {
-		d := (1 << n) / 4
-		if d == 0 {
-			d = 1
-		}
-		s := ""
-		for len(s) < d {
-			s += "0"
-		}
-		got, err := r.ArityOfHex(s)
-		if err != nil || got != n {
-			t.Fatalf("length %d resolved to (%d, %v), want arity %d", d, got, err, n)
-		}
-	}
-	for _, bad := range []string{"", "000", fmt.Sprintf("%0512d", 0)} {
-		if _, err := r.ArityOfHex(bad); err == nil {
-			t.Fatalf("length %d accepted", len(bad))
-		}
 	}
 }

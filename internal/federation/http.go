@@ -40,7 +40,7 @@ type HandlerOptions struct {
 	// Trace, when non-nil, is the flight recorder behind the HTTP
 	// middleware's per-request traces (it must also be HTTP's
 	// HTTPOptions.Tracer); mounting it adds GET /v2/debug/traces and
-	// GET /v2/debug/traces/{id}. By default the guard authenticates both
+	// GET /v2/debug/traces/{id}. The guard authenticates both
 	// (trace details name client identities) but never rate-limits or
 	// sheds them (auth.DefaultAuthOnly).
 	Trace *obs.Tracer
@@ -120,7 +120,7 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 	rt.Handle("POST", "/v2/classify", "mixed-arity batch lookup with per-item errors", api.HandleClassify(b, jsonBody))
 	rt.Handle("POST", "/v2/insert", "mixed-arity batch insert with per-item errors", api.HandleInsert(b, jsonBody))
 	rt.Handle("POST", "/v2/map", "map an ASCII-AIGER circuit to k-LUTs; ?insert=true warms the store",
-		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: b.insertMapped}))
+		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: b}))
 	rt.Handle("POST", "/v2/compact", "fold every arity's sealed WAL segments into its snapshot",
 		func(w http.ResponseWriter, r *http.Request) {
 			results, err := reg.CompactAll()
@@ -152,41 +152,22 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 }
 
 // Backend adapts a registry to the shared /v2 handlers (api.Backend).
-// internal/replica embeds it for arity resolution and local lookups.
+// internal/replica embeds it for the arity check and local lookups.
 type Backend struct{ reg *Registry }
 
 // NewBackend returns the api.Backend over reg.
 func NewBackend(reg *Registry) Backend { return Backend{reg} }
 
-// Resolve infers the arity from the hex length, constructs that arity's
-// service (so Classify/Insert cannot fail later) and parses the table.
-func (b Backend) Resolve(s string) (*tt.TT, *api.Error) {
-	n, err := b.reg.ArityOfHex(s)
-	if err != nil {
-		return nil, api.Errf(api.CodeArityOutOfRange,
-			"hex truth table of %d digits matches no federated arity %d..%d",
-			len(s), b.reg.MinVars(), b.reg.MaxVars()).
-			WithDetail("want one of %s hex digits", b.reg.arityLengths())
-	}
-	if _, err := b.reg.Service(n); err != nil {
-		return nil, api.Errf(api.CodeInternal, "%v", err)
-	}
-	f, err := tt.FromHex(n, s)
-	if err != nil {
-		return nil, api.Errf(api.CodeBadHex, "%v", err)
-	}
-	return f, nil
-}
-
-// CheckArity is Resolve for the binary transport: the arity must be
-// federated, and its service is constructed up front so Classify/Insert
-// cannot fail later — the same readiness contract, minus the hex
-// round-trip.
+// CheckArity reports whether n is a federated arity and constructs its
+// service up front, so Classify/Insert cannot fail later. Both request
+// transports and /v2/map?insert=true ask it, so an unserved arity gets
+// one error object however it arrived.
 func (b Backend) CheckArity(n int) *api.Error {
 	if n < b.reg.MinVars() || n > b.reg.MaxVars() {
 		return api.Errf(api.CodeArityOutOfRange,
-			"function of arity %d outside the federated range %d..%d",
-			n, b.reg.MinVars(), b.reg.MaxVars())
+			"function of arity %d matches no federated arity %d..%d",
+			n, b.reg.MinVars(), b.reg.MaxVars()).
+			WithDetail("want arity %d..%d: %s hex digits", b.reg.MinVars(), b.reg.MaxVars(), b.reg.arityLengths())
 	}
 	if _, err := b.reg.Service(n); err != nil {
 		return api.Errf(api.CodeInternal, "%v", err)
@@ -212,19 +193,6 @@ func (b Backend) Insert(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, 
 	return toAPIOutcomes(results), nil
 }
 
-// insertMapped stores a mapping's K-ary LUT functions, provided K is a
-// federated arity.
-func (b Backend) insertMapped(ctx context.Context, fs []*tt.TT) ([]api.InsertOutcome, *api.Error) {
-	if len(fs) > 0 {
-		if k := fs[0].NumVars(); k < b.reg.MinVars() || k > b.reg.MaxVars() {
-			return nil, api.Errf(api.CodeArityOutOfRange,
-				"mapped LUTs have arity %d, outside the federated range %d..%d (retry with a federated k or without insert=true)",
-				k, b.reg.MinVars(), b.reg.MaxVars())
-		}
-	}
-	return b.Insert(ctx, fs)
-}
-
 // toAPIResults converts pipeline results to their wire-contract form.
 func toAPIResults(rs []service.Result) []api.Result {
 	out := make([]api.Result, len(rs))
@@ -241,18 +209,6 @@ func toAPIOutcomes(rs []service.InsertResult) []api.InsertOutcome {
 		out[i] = api.InsertOutcome{Key: r.Key, Index: r.Index, New: r.New}
 	}
 	return out
-}
-
-// ArityOfHex maps a hex truth table to the unique federated arity whose
-// encoding has its length (api.HexDigits, unique per arity for n ≥ 2).
-func (r *Registry) ArityOfHex(s string) (int, error) {
-	for n := r.lo; n <= r.hi; n++ {
-		if api.HexDigits(n) == len(s) {
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("hex truth table of %d digits matches no federated arity %d..%d (want one of %s)",
-		len(s), r.lo, r.hi, r.arityLengths())
 }
 
 // arityLengths renders the accepted hex lengths, for error messages.

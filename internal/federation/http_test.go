@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/aig"
 	"repro/internal/api"
+	"repro/internal/gen"
 	"repro/internal/npn"
 	"repro/internal/tt"
 )
@@ -329,5 +331,65 @@ func TestHandlerCompact(t *testing.T) {
 	}
 	if !st.Durable || len(st.PerArity) != 1 || st.PerArity[0].WAL == nil {
 		t.Fatalf("durable stats %+v", st)
+	}
+}
+
+// TestArityErrorSameOnBothTransports: a function of an unserved arity
+// whose hex length names that arity fails with the same error object
+// (code, message, detail) whether the JSON envelope or the binary frame
+// carried it, because both request transports ask CheckArity.
+func TestArityErrorSameOnBothTransports(t *testing.T) {
+	srv := newTestServer(t, 4, 6)
+	rng := rand.New(rand.NewSource(66))
+	for _, n := range []int{3, 7} {
+		f := tt.Random(n, rng)
+		body, _ := json.Marshal(api.BatchRequest{Functions: []string{f.Hex()}})
+		_, raw := postJSON(t, srv.URL+"/v2/classify", body)
+		var viaJSON api.ClassifyResponse
+		if err := json.Unmarshal(raw, &viaJSON); err != nil || len(viaJSON.Results) != 1 {
+			t.Fatalf("n=%d: JSON request: %v %s", n, err, raw)
+		}
+
+		resp, err := http.Post(srv.URL+"/v2/classify", api.BinaryContentType,
+			bytes.NewReader(api.EncodeBinaryRequest([]*tt.TT{f}, false)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaFrame api.ClassifyResponse
+		err = json.NewDecoder(resp.Body).Decode(&viaFrame)
+		resp.Body.Close()
+		if err != nil || len(viaFrame.Results) != 1 {
+			t.Fatalf("n=%d: frame request: %v", n, err)
+		}
+
+		je, fe := viaJSON.Results[0].Error, viaFrame.Results[0].Error
+		if je == nil || fe == nil || je.Code != api.CodeArityOutOfRange || *je != *fe {
+			t.Fatalf("n=%d: JSON request error %+v, frame request error %+v", n, je, fe)
+		}
+	}
+}
+
+// TestMapInsertRefusesUnservedK: /v2/map?insert=true with a k the
+// registry does not serve answers arity_out_of_range and stores nothing.
+func TestMapInsertRefusesUnservedK(t *testing.T) {
+	reg := mustNew(t, 4, 6)
+	srv := httptest.NewServer(NewHandler(reg))
+	t.Cleanup(srv.Close)
+	var aag strings.Builder
+	if err := aig.WriteAAG(&aag, gen.RippleCarryAdder(4)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v2/map?k=3&insert=true", "text/plain", strings.NewReader(aag.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env api.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodeArityOutOfRange {
+		t.Fatalf("map k=3 insert: status %d, %v, error %+v", resp.StatusCode, err, env.Error)
+	}
+	if st := reg.Stats(); st.Totals.Inserts != 0 || st.Totals.Classes != 0 || len(st.ActiveArities) != 0 {
+		t.Fatalf("refused map insert left state behind: %+v", st)
 	}
 }

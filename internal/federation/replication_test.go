@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/internal/wal"
 )
@@ -231,19 +230,5 @@ func TestWALEndpoints(t *testing.T) {
 	}
 	if len(m2.Arities) != 1 || m2.Arities[0].Arity != 5 || len(m2.Arities[0].Segments) == 0 {
 		t.Fatalf("post-restart manifest %+v, want arity 5 with its on-disk segments", m2)
-	}
-
-	// A read-only store option on a durable registry is the follower
-	// half; sanity-check the two compose (store gate refuses inserts).
-	ro, err := New(4, 6, Options{Store: store.Options{ReadOnly: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ro.InsertCtx(ctx, []*tt.TT{fs[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Index != -1 || res[0].New {
-		t.Fatalf("read-only registry insert %+v, want refusal", res[0])
 	}
 }

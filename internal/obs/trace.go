@@ -20,10 +20,10 @@ const TraceParentHeader = "X-Trace-Parent"
 // retained traces.
 const DefaultTraceBuffer = 256
 
-// defaultMaxSpans bounds one trace's span count so a pathological batch
-// cannot turn a single request into an unbounded allocation; spans past
-// the cap are counted, not recorded.
-const defaultMaxSpans = 512
+// maxSpans bounds one trace's span count so a pathological batch cannot
+// turn a single request into an unbounded allocation; spans past the cap
+// are counted, not recorded.
+const maxSpans = 512
 
 const activeSpanKey ctxKey = 1
 
@@ -119,7 +119,6 @@ func TraceParent(ctx context.Context) string {
 // a debug endpoint renders it. All span mutation is guarded by one mutex
 // because batch fan-out creates spans from worker goroutines.
 type Trace struct {
-	tracer *Tracer
 	id     string // the request's X-Request-Id
 	route  string
 	method string
@@ -139,7 +138,7 @@ type Trace struct {
 func (t *Trace) startSpan(name string, parent int) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= t.tracer.maxSpans {
+	if len(t.spans) >= maxSpans {
 		t.dropped++
 		return nil
 	}
@@ -324,8 +323,6 @@ type TraceOptions struct {
 	// Slow is the duration at or above which a trace is always retained.
 	// Zero disables the slow criterion.
 	Slow time.Duration
-	// MaxSpans caps one trace's recorded spans; zero means the default.
-	MaxSpans int
 }
 
 // Tracer roots per-request traces and retains a tail-sampled subset in a
@@ -334,7 +331,6 @@ type Tracer struct {
 	capacity int
 	slow     time.Duration
 	every    uint64 // keep 1 in `every` unremarkable traces; 0 keeps none
-	maxSpans int
 	seq      atomic.Uint64
 
 	mu   sync.Mutex
@@ -351,12 +347,9 @@ type Tracer struct {
 // recorder), npn_trace_retained_total (kept) and npn_trace_dropped_total
 // (discarded by sampling).
 func NewTracer(r *Registry, o TraceOptions) *Tracer {
-	t := &Tracer{capacity: o.Buffer, slow: o.Slow, maxSpans: o.MaxSpans}
+	t := &Tracer{capacity: o.Buffer, slow: o.Slow}
 	if t.capacity <= 0 {
 		t.capacity = DefaultTraceBuffer
-	}
-	if t.maxSpans <= 0 {
-		t.maxSpans = defaultMaxSpans
 	}
 	switch {
 	case o.Sample >= 1:
@@ -385,7 +378,6 @@ func (t *Tracer) StartTrace(ctx context.Context, route, method, id, parentHeader
 		return ctx, nil
 	}
 	tr := &Trace{
-		tracer: t,
 		id:     id,
 		route:  route,
 		method: method,

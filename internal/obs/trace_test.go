@@ -254,14 +254,15 @@ func TestListFilters(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	tracer := NewTracer(nil, TraceOptions{Sample: 1, MaxSpans: 3})
+	tracer := NewTracer(nil, TraceOptions{Sample: 1})
 	ctx, tr := tracer.StartTrace(context.Background(), "/v2/classify", "POST", "cap", "")
-	for i := 0; i < 5; i++ {
+	// The root span is the first of the cap; open cap+2 more.
+	for i := 0; i < maxSpans+2; i++ {
 		_, sp := StartSpan(ctx, "service.certify")
-		if i < 2 && sp == nil {
+		if i < maxSpans-1 && sp == nil {
 			t.Fatalf("span %d rejected below the cap", i)
 		}
-		if i >= 2 && sp != nil {
+		if i >= maxSpans-1 && sp != nil {
 			t.Fatalf("span %d recorded past the cap", i)
 		}
 		sp.End()
@@ -271,8 +272,8 @@ func TestMaxSpansCap(t *testing.T) {
 	if !ok {
 		t.Fatal("capped trace not retained")
 	}
-	if d.Spans != 3 {
-		t.Fatalf("spans = %d, want 3 (the cap)", d.Spans)
+	if d.Spans != maxSpans {
+		t.Fatalf("spans = %d, want %d (the cap)", d.Spans, maxSpans)
 	}
 	if d.DroppedSpans != 3 {
 		t.Fatalf("dropped_spans = %d, want 3", d.DroppedSpans)

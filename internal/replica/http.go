@@ -55,12 +55,13 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 		api.HandleClassify(b, jsonBody))
 	rt.Handle("POST", "/v2/insert", "insert forwarded to the primary (read_only in local mode)",
 		api.HandleInsert(b, jsonBody))
-	// A local-mode follower mounts no map-insert hook at all, so
-	// ?insert=true is refused before any mapping work; in proxy mode the
-	// discovered classes are forwarded to the primary.
-	var mapInsert func(context.Context, []*tt.TT) ([]api.InsertOutcome, *api.Error)
+	// A local-mode follower mounts no map-insert backend at all, so
+	// ?insert=true is refused before any mapping work; in proxy mode k is
+	// checked against the follower's own range, as /v2/insert checks each
+	// function, and the discovered classes are forwarded to the primary.
+	var mapInsert api.Backend
 	if f.Mode() == ModeProxy {
-		mapInsert = b.Insert
+		mapInsert = b
 	}
 	rt.Handle("POST", "/v2/map", "map an ASCII-AIGER circuit to k-LUTs",
 		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: mapInsert}))
@@ -105,8 +106,8 @@ type statsResponse struct {
 	Replication Stats `json:"replication"`
 }
 
-// replicaBackend adapts the follower to the shared /v2 handlers: arity
-// resolution and local lookups are the federated backend's over the
+// replicaBackend adapts the follower to the shared /v2 handlers: the
+// arity check and local lookups are the federated backend's over the
 // replicated registry; misses may be re-asked of the primary, and writes
 // go through it.
 type replicaBackend struct {

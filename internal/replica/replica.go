@@ -170,8 +170,9 @@ type Follower struct {
 }
 
 // New returns a follower tailing opts.Primary into reg. The registry
-// should be memory-only with read-only stores (store.Options.ReadOnly):
-// the follower's apply path bypasses the gate, everything else is a read.
+// should be memory-only: classes enter it only through the follower's
+// apply path, because the follower's handler answers every insert itself
+// (read_only in local mode, forwarded to the primary in proxy mode).
 func New(reg *federation.Registry, opts Options) *Follower {
 	client := opts.Client
 	if client == nil {

@@ -38,11 +38,11 @@ func newPrimary(t *testing.T) (*federation.Registry, *httptest.Server) {
 	return reg, srv
 }
 
-// newFollower builds a read-only follower registry over the primary URL.
+// newFollower builds a follower registry over the primary URL.
 func newFollower(t *testing.T, primary string, mode replica.Mode, stale time.Duration) (*replica.Follower, *httptest.Server) {
 	t.Helper()
 	reg, err := federation.New(4, 6, federation.Options{
-		Store: store.Options{Shards: 4, ReadOnly: true},
+		Store: store.Options{Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +423,7 @@ func TestFollowerNarrowerRange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err := federation.New(4, 5, federation.Options{Store: store.Options{ReadOnly: true}})
+	reg, err := federation.New(4, 5, federation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestFollowerRunLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err := federation.New(4, 6, federation.Options{Store: store.Options{ReadOnly: true}})
+	reg, err := federation.New(4, 6, federation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

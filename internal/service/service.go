@@ -97,9 +97,6 @@ func New(st *store.Store, o Options) *Service {
 // Store returns the backing class store.
 func (s *Service) Store() *store.Store { return s.st }
 
-// NumVars returns the arity the service serves.
-func (s *Service) NumVars() int { return s.st.NumVars() }
-
 // Workers returns the worker-pool width batches fan out across.
 func (s *Service) Workers() int { return s.workers }
 

@@ -80,9 +80,6 @@ func NewEngine(n int) *Engine {
 	}
 }
 
-// NumVars returns the arity this engine serves.
-func (e *Engine) NumVars() int { return e.n }
-
 // sortCounts sorts a vector of satisfy counts (non-negative, at most
 // 2^n) in non-decreasing order: insertion sort for the short vectors
 // (OIV, OCV1), counting sort over a bucket array bounded by the actual

@@ -8,28 +8,17 @@ import (
 	"repro/internal/tt"
 )
 
-// TestReadOnlyStoreRefusesAdd: a read-only store refuses the public
-// insert path but accepts replicated applies, and serves lookups for
-// what arrived through them.
-func TestReadOnlyStoreRefusesAdd(t *testing.T) {
+// TestApplyLogRecordTrusted: a record whose segment meta matches the
+// applying store's fingerprint is published under the logged key, once,
+// and the follower serves it with the primary's (key, index).
+func TestApplyLogRecordTrusted(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(31))
 	primary := New(6, Options{})
-	follower := New(6, Options{ReadOnly: true})
-	if !follower.ReadOnly() {
-		t.Fatal("ReadOnly not reported")
-	}
+	follower := New(6, Options{})
 
+	// Same config, so the primary's key is trusted verbatim.
 	f := tt.Random(6, rng)
-	if key, idx, isNew := follower.AddCtx(ctx, f); isNew || idx != -1 || key != 0 {
-		t.Fatalf("read-only Add returned (%d,%d,%v), want refusal", key, idx, isNew)
-	}
-	if follower.Size() != 0 {
-		t.Fatal("refused Add still published")
-	}
-
-	// Replicate through the trusted path: same config, so the primary's
-	// key is trusted verbatim.
 	key, idx, isNew := primary.AddCtx(ctx, f)
 	if !isNew {
 		t.Fatal("primary insert not new")
@@ -51,7 +40,7 @@ func TestReadOnlyStoreRefusesAdd(t *testing.T) {
 // key is ignored and the class lands under the store's own key.
 func TestApplyLogRecordUntrusted(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	s := New(5, Options{ReadOnly: true})
+	s := New(5, Options{})
 	f := tt.Random(5, rng)
 	const bogusKey = 0xdeadbeef
 	if !s.ApplyLogRecord(s.Fingerprint()+1, bogusKey, f) {
@@ -91,7 +80,7 @@ func TestApplySnapshotDeterministicChains(t *testing.T) {
 	}
 
 	a := New(4, Options{})
-	b := New(4, Options{ReadOnly: true})
+	b := New(4, Options{})
 	if got := a.ApplySnapshot(uniq); got != len(uniq) {
 		t.Fatalf("first apply published %d, want %d", got, len(uniq))
 	}

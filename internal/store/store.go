@@ -100,11 +100,6 @@ type Options struct {
 	// use a weak key to force collision chains at small arities, where the
 	// full MSV is exact.
 	Config core.Config
-	// ReadOnly refuses every AddCtx: the public insert path returns a
-	// refusal (index -1) without touching the store. Replication followers
-	// run read-only stores — classes arrive only through the replicated
-	// apply path (ApplySnapshot, ApplyLogRecord), which bypasses the gate.
-	ReadOnly bool
 }
 
 // Journal receives every certified new-class insert before it is
@@ -177,13 +172,11 @@ type shard struct {
 // Store is a sharded NPN class store for functions of a fixed arity. All
 // methods are safe for concurrent use.
 type Store struct {
-	n        int
-	cfg      core.Config
-	fp       uint64 // configFingerprint(cfg), the segment meta word
-	mask     uint64
-	shards   []shard
-	pool     sync.Pool
-	readOnly bool
+	n      int
+	fp     uint64 // configFingerprint of the key configuration, the segment meta word
+	mask   uint64
+	shards []shard
+	pool   sync.Pool
 
 	// journal, when set, is the write-ahead hook for new-class inserts.
 	// Written once by SetJournal before concurrent use, read by AddCtx.
@@ -213,8 +206,8 @@ func New(n int, o Options) *Store {
 	for size < shards {
 		size <<= 1
 	}
-	s := &Store{n: n, cfg: cfg, fp: configFingerprint(cfg), mask: uint64(size - 1),
-		shards: make([]shard, size), readOnly: o.ReadOnly}
+	s := &Store{n: n, fp: configFingerprint(cfg), mask: uint64(size - 1),
+		shards: make([]shard, size)}
 	for i := range s.shards {
 		s.shards[i].chains = make(map[uint64]*chain)
 		s.shards[i].hints = make(map[uint64]hint)
@@ -231,16 +224,10 @@ func (s *Store) NumVars() int { return s.n }
 // NumShards returns the number of lock shards.
 func (s *Store) NumShards() int { return len(s.shards) }
 
-// Config returns the signature selection of the MSV key.
-func (s *Store) Config() core.Config { return s.cfg }
-
 // Fingerprint returns the 64-bit hash of the store's MSV configuration —
 // the meta word stamped on WAL segments, which replay and replication
 // compare to decide whether a logged class key can be trusted.
 func (s *Store) Fingerprint() uint64 { return s.fp }
-
-// ReadOnly reports whether the public AddCtx path is gated off.
-func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // SetJournal installs the write-ahead hook: every subsequent certified
 // new-class insert is logged through j before being published. It must be
@@ -433,24 +420,10 @@ func (s *Store) noteHit(cheap uint64, out hintOutcome, h hint) {
 // survives — callers seeing a refusal must treat the insert as not
 // persisted.
 //
-// On a read-only store AddCtx refuses immediately (key 0, index -1)
-// without hashing; only the replicated apply path can publish into it.
-//
 // ctx carries tracing: the insert runs under a store.add span, the chain
 // certification under store.certify, and the journal receives ctx for its
 // append and fsync phases (internal/wal records them as wal.* spans).
 func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, isNew bool) {
-	if s.readOnly {
-		return 0, -1, false
-	}
-	return s.addCertified(ctx, f)
-}
-
-// addCertified is the certified insert path shared by AddCtx and the
-// untrusted branch of ApplyLogRecord: hint probe, hash, chain
-// certification, journal, publication. It ignores the read-only gate,
-// which governs only the public surface.
-func (s *Store) addCertified(ctx context.Context, f *tt.TT) (key uint64, index int, isNew bool) {
 	if f.NumVars() != s.n {
 		panic("store: function arity does not match store")
 	}
@@ -546,10 +519,9 @@ func (s *Store) addRecovered(key uint64, f *tt.TT) bool {
 // the table is re-hashed through the certified insert path. It reports
 // whether a new representative was published (false when the exact table
 // was already present, the idempotence that makes replicated re-delivery
-// — a follower re-bootstrapping after primary compaction — safe).
-// ApplyLogRecord bypasses the read-only gate: it is how classes enter a
-// follower's store. Safe for concurrent use with LookupCtx, so a follower
-// keeps serving while records stream in.
+// — a follower re-bootstrapping after primary compaction — safe). It is
+// how classes enter a follower's store. Safe for concurrent use with
+// LookupCtx, so a follower keeps serving while records stream in.
 func (s *Store) ApplyLogRecord(meta uint64, key uint64, f *tt.TT) bool {
 	if f.NumVars() != s.n {
 		panic("store: function arity does not match store")
@@ -557,7 +529,7 @@ func (s *Store) ApplyLogRecord(meta uint64, key uint64, f *tt.TT) bool {
 	if meta == s.fp {
 		return s.addRecovered(key, f)
 	}
-	_, _, isNew := s.addCertified(context.Background(), f)
+	_, _, isNew := s.AddCtx(context.Background(), f)
 	return isNew
 }
 
@@ -570,8 +542,7 @@ func (s *Store) ApplyLogRecord(meta uint64, key uint64, f *tt.TT) bool {
 // followers must reproduce the primary's. Publication dedups by exact
 // table equality, so re-applying an overlapping snapshot (a follower
 // re-bootstrapping after the primary compacted) publishes only what is
-// missing. It returns the number of tables published and bypasses the
-// read-only gate.
+// missing. It returns the number of tables published.
 func (s *Store) ApplySnapshot(fs []*tt.TT) int {
 	keys := make([]uint64, len(fs))
 	par.Chunks(len(fs), 0, func(lo, hi int) {

@@ -56,33 +56,3 @@ func Write(w io.Writer, fs []*tt.TT, header ...string) error {
 	}
 	return bw.Flush()
 }
-
-// GuessArity infers the number of variables from the first data line of a
-// workload file: a table of 2^n bits uses max(1, 2^n/4) hex digits. It
-// rewinds nothing — callers pass the raw content.
-func GuessArity(content string) (int, error) {
-	for _, line := range strings.Split(content, "\n") {
-		s := strings.TrimSpace(line)
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
-		digits := len(strings.ReplaceAll(s, "_", ""))
-		switch {
-		case digits == 1:
-			return 2, nil // 1 digit covers n ≤ 2; pick the largest
-		case digits >= 2 && digits <= 1<<(tt.MaxVars-2):
-			n := 2
-			for 1<<(n-2) < digits {
-				n++
-			}
-			if 1<<(n-2) != digits {
-				return 0, fmt.Errorf("ttio: %d hex digits is not a power-of-two table", digits)
-			}
-			return n, nil
-		default:
-			return 0, fmt.Errorf("ttio: cannot infer arity from %d hex digits", digits)
-		}
-	}
-	return 0, fmt.Errorf("ttio: no data lines")
-}

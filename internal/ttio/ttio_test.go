@@ -52,27 +52,3 @@ func TestReadErrors(t *testing.T) {
 		t.Errorf("error missing line number: %v", err)
 	}
 }
-
-func TestGuessArity(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int
-		ok   bool
-	}{
-		{"# c\ne8\n", 3, true},
-		{"cafecafe\n", 5, true},
-		{"0xdead_beef\n", 5, true},
-		{"a\n", 2, true},
-		{"abc\n", 0, false},    // 3 digits: not a power of two
-		{"# only\n", 0, false}, // no data
-	}
-	for _, tc := range cases {
-		got, err := GuessArity(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("GuessArity(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("GuessArity(%q) accepted", tc.in)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"net/http"
 
 	"repro/internal/api"
@@ -18,24 +17,21 @@ import (
 // WithJSONTransport pins the JSON envelope instead.
 
 // parseBinaryBatch parses a hex batch into truth tables with the arity
-// each hex length implies. It reports ok=false — meaning "send this
-// batch as JSON" — when any function cannot travel in a binary frame
-// with full fidelity: a one-digit table (ambiguous across arities 0–2),
-// a length that is not a power of two, an arity beyond tt.MaxVars, or
-// hex that does not parse (the JSON path owns the canonical bad_hex
-// error). An empty batch also goes JSON for its canonical error.
+// each hex length names (api.HexArity). It reports ok=false — meaning
+// "send this batch as JSON" — when any function cannot travel in a
+// binary frame with full fidelity: a one-digit table (its arity,
+// ambiguous across 0–2, is the server's to read), a length that names no
+// arity, or hex that does not parse (the JSON path owns the canonical
+// arity and bad_hex errors). An empty batch also goes JSON for its
+// canonical error.
 func parseBinaryBatch(fns []string) ([]*tt.TT, bool) {
 	if len(fns) == 0 {
 		return nil, false
 	}
 	fs := make([]*tt.TT, len(fns))
 	for i, s := range fns {
-		l := len(s)
-		if l < 2 || l&(l-1) != 0 {
-			return nil, false
-		}
-		n := bits.TrailingZeros(uint(l)) + 2
-		if n > tt.MaxVars {
+		n, ok := api.HexArity(len(s))
+		if !ok || len(s) < 2 {
 			return nil, false
 		}
 		f, err := tt.FromHex(n, s)

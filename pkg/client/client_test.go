@@ -61,7 +61,7 @@ func newPrimaryAndFollower(t *testing.T, mode replica.Mode) (pc, fc *client.Clie
 	t.Cleanup(psrv.Close)
 
 	freg, err := federation.New(4, 6, federation.Options{
-		Store: store.Options{Shards: 4, ReadOnly: true},
+		Store: store.Options{Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
