@@ -35,10 +35,11 @@
 //	                   class census; ?insert=true warms the store with the
 //	                   discovered LUT classes
 //	POST /v2/compact   admin: fold sealed WAL segments into snapshots
-//	GET  /v2/stats     aggregate totals and a per-arity breakdown
 //	GET  /v2/spec      self-description: routes + error codes
 //	GET  /healthz      liveness + federated range
-//	GET  /metrics      Prometheus text exposition (with -metrics, default)
+//	GET  /metrics      Prometheus text exposition (with -metrics, default):
+//	                   every counter and gauge, per arity; the server's
+//	                   one read-out of them
 //
 // Unmatched routes and methods answer the /v2 JSON error envelope. A
 // durable server also serves the replication feed its followers tail
@@ -492,9 +493,10 @@ func buildRegistry(cfg config) (*federation.Registry, error) {
 }
 
 // buildFollower wires the replication-follower stack from the flag
-// configuration: a memory-only registry of read-only stores plus the
-// tail loop against the -follow primary. Followers hold no WAL of their
-// own (they re-sync from the primary on restart), so -data is rejected.
+// configuration: a memory-only registry plus the tail loop against the
+// -follow primary, the only writer of its stores. Followers hold no WAL
+// of their own (they re-sync from the primary on restart), so -data is
+// rejected.
 func buildFollower(cfg config, logger *log.Logger) (*replica.Follower, error) {
 	if cfg.dataDir != "" {
 		return nil, errors.New("-follow runs a memory-only replica: remove -data")

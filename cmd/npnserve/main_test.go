@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -47,11 +48,11 @@ func startServer(t *testing.T, cfg config) (*client.Client, *federation.Registry
 // n = 4..10 is inserted into one server, then a single mixed-arity batch
 // of NPN variants is classified; every answer must carry the right class
 // key and a witness the matcher semantics certify (replayed locally by
-// client.ReplayWitness), and the per-arity stats breakdown must account
-// for exactly the routed traffic.
+// client.ReplayWitness), and the per-arity counters on /metrics must
+// account for exactly the routed traffic.
 func TestEndToEndMixedArity(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startServer(t, config{arities: "4-10", shards: 8, workers: 2, cache: 128})
+	c, _ := startServer(t, config{arities: "4-10", shards: 8, workers: 2, cache: 128, metrics: true})
 
 	rng := rand.New(rand.NewSource(700))
 	var base []*tt.TT
@@ -105,24 +106,24 @@ func TestEndToEndMixedArity(t *testing.T) {
 		}
 	}
 
-	// Stats must reflect the routed traffic, per arity and in total.
-	raw, err := c.Stats(ctx)
+	// The counters must reflect the routed traffic, per arity and in
+	// total.
+	sc, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st federation.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
+	if got, ok := sc.Value("npn_federation_active_arities"); !ok || got != 7 {
+		t.Fatalf("npn_federation_active_arities = %v (ok=%v), want 7", got, ok)
 	}
-	if st.MinVars != 4 || st.MaxVars != 10 || len(st.PerArity) != 7 {
-		t.Fatalf("stats shape %+v", st)
+	if ins, hits := sc.Sum("npn_service_inserts_total"), sc.Sum("npn_service_hits_total"); ins != float64(len(base)) || hits != float64(len(base)) {
+		t.Fatalf("totals: %v inserts and %v hits, want %d each", ins, hits, len(base))
 	}
-	if st.Totals.Inserts != int64(len(base)) || st.Totals.Hits != int64(len(base)) {
-		t.Fatalf("totals %+v", st.Totals)
-	}
-	for _, s := range st.PerArity {
-		if s.Inserts != 2 || s.Lookups != 2 {
-			t.Fatalf("arity %d saw %d inserts and %d lookups, want 2 and 2", s.Arity, s.Inserts, s.Lookups)
+	for n := 4; n <= 10; n++ {
+		a := "arity=" + strconv.Itoa(n)
+		ins, _ := sc.Value("npn_service_inserts_total", a)
+		lookups, _ := sc.Value("npn_service_lookups_total", a)
+		if ins != 2 || lookups != 2 {
+			t.Fatalf("arity %d saw %v inserts and %v lookups, want 2 and 2", n, ins, lookups)
 		}
 	}
 
@@ -216,8 +217,8 @@ func TestJSONFallbacks(t *testing.T) {
 // mount one API: the primary's spec is the follower's plus the three
 // replication-feed routes, no other /v1 route is listed, and the removed
 // /v1 classify, insert, compact and stats routes and the removed
-// /v2/classify/stream and /v2/insert/stream routes answer not_found on
-// both stacks.
+// /v2/stats, /v2/classify/stream and /v2/insert/stream routes answer
+// not_found on both stacks.
 func TestSpecCoversRoutes(t *testing.T) {
 	ctx := context.Background()
 	cfg := config{arities: "4-6", shards: 4, cache: 16, metrics: true}
@@ -232,7 +233,7 @@ func TestSpecCoversRoutes(t *testing.T) {
 	}
 	want := []string{
 		"POST /v2/classify", "POST /v2/insert",
-		"POST /v2/map", "POST /v2/compact", "GET /v2/stats", "GET /v2/spec",
+		"POST /v2/map", "POST /v2/compact", "GET /v2/spec",
 		"GET /healthz", "GET /metrics",
 	}
 	mounted := routeSet(spec)
@@ -307,11 +308,11 @@ func TestSpecCoversRoutes(t *testing.T) {
 	}
 
 	for name, cl := range map[string]*client.Client{"primary": c, "follower": fc} {
-		for _, path := range []string{"/v1/classify", "/v1/insert", "/v1/compact", "/v1/stats", "/v2/classify/stream", "/v2/insert/stream"} {
+		for _, path := range []string{"/v1/classify", "/v1/insert", "/v1/compact", "/v1/stats", "/v2/stats", "/v2/classify/stream", "/v2/insert/stream"} {
 			var status int
 			var raw []byte
 			var err error
-			if path == "/v1/stats" {
+			if strings.HasSuffix(path, "/stats") {
 				status, raw, err = cl.Get(ctx, path)
 			} else {
 				status, raw, err = cl.Post(ctx, path, "application/json", []byte(`{"functions":["1ee1"]}`))

@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aig"
 	"repro/internal/api"
-	"repro/internal/federation"
+	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/tt"
+	"repro/internal/wal"
 	"repro/pkg/client"
 )
 
@@ -170,13 +172,68 @@ func TestRequestIDEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStatsMetricsParity is the one-source-of-truth check: the JSON stats
-// endpoint and the Prometheus exposition are read from the same snapshot
-// machinery, so after arbitrary traffic every shared counter must agree
-// exactly.
+// TestErrorEnvelopesCarryRequestID: every whole-request error envelope —
+// whichever layer wrote it — carries the request ID its X-Request-Id
+// header echoes, both for a caller-supplied ID and for a minted one.
+func TestErrorEnvelopesCarryRequestID(t *testing.T) {
+	c, _ := startServer(t, config{arities: "4-6", shards: 4, cache: 16, metrics: true})
+	var aag strings.Builder
+	if err := aig.WriteAAG(&aag, gen.RippleCarryAdder(2)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, method, path, contentType, body string
+		want                                  api.Code
+	}{
+		{"malformed JSON", "POST", "/v2/classify", "application/json", "{", api.CodeBadRequest},
+		{"empty batch", "POST", "/v2/insert", "application/json", `{"functions":[]}`, api.CodeBadRequest},
+		{"bad binary frame", "POST", "/v2/classify", api.BinaryContentType, "NB\x01", api.CodeBadRequest},
+		{"wrong content type", "POST", "/v2/classify", "text/csv", "1ee1", api.CodeUnsupportedMediaType},
+		{"no route", "GET", "/no/such/route", "", "", api.CodeNotFound},
+		{"wrong method", "GET", "/v2/classify", "", "", api.CodeMethodNotAllowed},
+		{"compact without -data", "POST", "/v2/compact", "", "", api.CodeNotDurable},
+		{"map insert of an unserved k", "POST", "/v2/map?k=3&insert=true", "text/plain", aag.String(), api.CodeArityOutOfRange},
+		{"map of a non-AIGER body", "POST", "/v2/map?k=4", "text/plain", "not a circuit", api.CodeBadCircuit},
+	}
+	for _, tc := range cases {
+		for _, callerID := range []string{"", "probe-1"} {
+			req, err := http.NewRequest(tc.method, c.Base()+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			if callerID != "" {
+				req.Header.Set(obs.RequestIDHeader, callerID)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env api.ErrorEnvelope
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			header := resp.Header.Get(obs.RequestIDHeader)
+			if err != nil || env.Error == nil || env.Error.Code != tc.want {
+				t.Errorf("%s (caller id %q): %d %+v, want a %s envelope", tc.name, callerID, resp.StatusCode, env.Error, tc.want)
+				continue
+			}
+			if header == "" || (callerID != "" && header != callerID) || env.Error.RequestID != header {
+				t.Errorf("%s (caller id %q): envelope request_id %q, header %q", tc.name, callerID, env.Error.RequestID, header)
+			}
+		}
+	}
+}
+
+// TestStatsMetricsParity is the one-source-of-truth check: /metrics is
+// read at scrape time from the layers' own counters, so after arbitrary
+// traffic every exported series must equal the in-process value it is
+// collected from — each service's Stats(), its store's shape, and the
+// segment files on disk for npn_wal_bytes.
 func TestStatsMetricsParity(t *testing.T) {
 	ctx := context.Background()
-	c, _ := startServer(t, metricsConfig(t))
+	c, reg := startServer(t, metricsConfig(t))
 
 	rng := rand.New(rand.NewSource(706))
 	var hexes []string
@@ -192,37 +249,45 @@ func TestStatsMetricsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st federation.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
 	sc, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if got, ok := sc.Value("npn_federation_active_arities"); !ok || got != float64(len(st.ActiveArities)) {
-		t.Errorf("active arities: metrics %v (ok=%v), stats %d", got, ok, len(st.ActiveArities))
+	active := reg.Active()
+	if got, ok := sc.Value("npn_federation_active_arities"); !ok || got != float64(len(active)) {
+		t.Errorf("active arities: metrics %v (ok=%v), registry %d", got, ok, len(active))
 	}
-	for _, row := range st.PerArity {
-		a := "arity=" + strconv.Itoa(row.Arity)
+	for _, n := range active {
+		svc, err := reg.Service(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := svc.Stats()
+		chains, maxLen := svc.Store().ChainStats()
+		segs, err := wal.ListSegments(reg.ArityDir(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walBytes int64
+		for _, seg := range segs {
+			walBytes += seg.Size
+		}
+		a := "arity=" + strconv.Itoa(n)
 		for name, want := range map[string]float64{
-			"npn_service_lookups_total": float64(row.Lookups),
-			"npn_service_inserts_total": float64(row.Inserts),
-			"npn_service_hits_total":    float64(row.Hits),
-			"npn_store_classes":         float64(row.Classes),
+			"npn_service_lookups_total":            float64(st.Lookups),
+			"npn_service_inserts_total":            float64(st.Inserts),
+			"npn_service_hits_total":               float64(st.Hits),
+			"npn_service_classes_created_total":    float64(st.Created),
+			"npn_store_classes":                    float64(svc.Store().Size()),
+			"npn_store_collisions":                 float64(svc.Store().Size() - chains),
+			"npn_store_chains":                     float64(chains),
+			"npn_store_chain_max_length":           float64(maxLen),
+			"npn_store_profile_cache_misses_total": float64(st.ProfileMisses),
+			"npn_wal_bytes":                        float64(walBytes),
 		} {
 			if got, ok := sc.Value(name, a); !ok || got != want {
-				t.Errorf("%s{%s} = %v (ok=%v), stats say %v", name, a, got, ok, want)
-			}
-		}
-		if row.WAL != nil {
-			if got, ok := sc.Value("npn_wal_bytes", a); !ok || got != float64(row.WAL.Bytes) {
-				t.Errorf("npn_wal_bytes{%s} = %v (ok=%v), stats say %d", a, got, ok, row.WAL.Bytes)
+				t.Errorf("%s{%s} = %v (ok=%v), in-process value %v", name, a, got, ok, want)
 			}
 		}
 	}

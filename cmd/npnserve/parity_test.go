@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -14,8 +13,8 @@ import (
 // TestFollowerMetricsStatsParity is the exposition-parity check for the
 // replication series: every npn_replica_* family the follower registers
 // must round-trip through a live /metrics scrape (obs.Parse via
-// client.Metrics) and agree with the replication section of /v2/stats —
-// two renderings of one underlying state.
+// client.Metrics) and agree with the follower's in-process Stats()
+// snapshot it is collected from.
 func TestFollowerMetricsStatsParity(t *testing.T) {
 	ctx := context.Background()
 	pc, _ := startServer(t, metricsConfig(t))
@@ -54,17 +53,7 @@ func TestFollowerMetricsStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := fc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body struct {
-		Replication replica.Stats `json:"replication"`
-	}
-	if err := json.Unmarshal(raw, &body); err != nil {
-		t.Fatal(err)
-	}
-	st := body.Replication
+	st := fol.Stats()
 
 	// Every replication family must be present in the exposition.
 	families := []string{
@@ -82,9 +71,9 @@ func TestFollowerMetricsStatsParity(t *testing.T) {
 		}
 	}
 
-	// And each must agree with the stats rendering of the same state.
-	// Arity-labeled families compare as their sum against the stats
-	// totals; the scrape and the stats call are sequential with no
+	// And each must agree with the snapshot it is collected from.
+	// Arity-labeled families compare as their sum against the snapshot's
+	// totals; the scrape and the snapshot are sequential with no
 	// replication traffic between them, so the values are stable.
 	for _, tc := range []struct {
 		family string
@@ -101,7 +90,7 @@ func TestFollowerMetricsStatsParity(t *testing.T) {
 		{"npn_replica_proxy_errors_total", float64(st.ProxyErrors)},
 	} {
 		if got := sc.Sum(tc.family); got != tc.want {
-			t.Errorf("%s = %v, stats section says %v", tc.family, got, tc.want)
+			t.Errorf("%s = %v, Stats() says %v", tc.family, got, tc.want)
 		}
 	}
 	if st.ProxiedClassifies == 0 || st.ProxiedInserts == 0 {
@@ -114,13 +103,13 @@ func TestFollowerMetricsStatsParity(t *testing.T) {
 		wantStale = 1
 	}
 	if got, ok := sc.Value("npn_replica_stale"); !ok || got != wantStale {
-		t.Errorf("npn_replica_stale = %v (ok=%v), stats says %v", got, ok, st.Stale)
+		t.Errorf("npn_replica_stale = %v (ok=%v), Stats() says %v", got, ok, st.Stale)
 	}
 	// The age gauge and LastSyncAgeMs are sampled at different instants,
 	// so parity is sign-level: both nonnegative after a successful sync.
 	age, ok := sc.Value("npn_replica_last_sync_age_seconds")
 	if !ok || (age >= 0) != (st.LastSyncAgeMs >= 0) {
-		t.Errorf("npn_replica_last_sync_age_seconds = %v (ok=%v), stats age %vms disagrees on sign",
+		t.Errorf("npn_replica_last_sync_age_seconds = %v (ok=%v), Stats() age %vms disagrees on sign",
 			age, ok, st.LastSyncAgeMs)
 	}
 }

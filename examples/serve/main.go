@@ -6,8 +6,10 @@
 // of NPN disguises of all those cells — each function routed to its
 // arity's store by the server — and certifies every answer by replaying
 // the returned witness locally (client.ReplayWitness). It finishes by
-// demonstrating the /v2 per-item error contract: a batch with one bad
-// entry still answers the good ones.
+// demonstrating the /v2 per-item error contract — a batch with one bad
+// entry still answers the good ones — and printing the server's counters
+// from its /metrics exposition (client.Metrics), totals summed over the
+// arity label.
 //
 // Run with: go run ./examples/serve
 // To drive an already-running server instead: go run ./examples/serve -addr http://host:port
@@ -15,17 +17,18 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/federation"
 	"repro/internal/npn"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/tt"
 	"repro/pkg/client"
@@ -117,20 +120,23 @@ func main() {
 	fmt.Printf("per-item errors: batch of 2 with one bad entry -> %d error item(s); good item hit=%v, bad item code=%q\n\n",
 		mixed.Errors, mixed.Results[0].Hit, mixed.Results[1].Error.Code)
 
-	raw, err := c.Stats(ctx)
+	sc, err := c.Metrics(ctx)
 	if err != nil {
 		fatal(err)
 	}
-	var st federation.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("federation stats: arities %d..%d, %d classes total, %d lookups (%d hits, %d LRU), profile cache %d hits / %d misses\n",
-		st.MinVars, st.MaxVars, st.Totals.Classes, st.Totals.Lookups, st.Totals.Hits,
-		st.Totals.CacheHits, st.Totals.ProfileHits, st.Totals.ProfileMisses)
-	for _, s := range st.PerArity {
-		fmt.Printf("  n=%d: %d classes in %d shards, %d lookups, %.1fµs/batch\n",
-			s.Arity, s.Classes, s.Shards, s.Lookups, s.AvgBatchMicros)
+	fmt.Printf("federation metrics: %.0f classes total, %.0f lookups (%.0f hits, %.0f LRU), profile cache %.0f hits / %.0f misses\n",
+		sc.Sum("npn_store_classes"), sc.Sum("npn_service_lookups_total"), sc.Sum("npn_service_hits_total"),
+		sc.Sum("npn_service_cache_hits_total"), sc.Sum("npn_store_profile_cache_hits_total"),
+		sc.Sum("npn_store_profile_cache_misses_total"))
+	for n := lo; n <= hi; n++ {
+		a := "arity=" + strconv.Itoa(n)
+		batches := sc.Sum("npn_service_batch_duration_seconds_count", a)
+		if batches == 0 {
+			continue // no batch of this arity arrived yet
+		}
+		secs := sc.Sum("npn_service_batch_duration_seconds_sum", a)
+		fmt.Printf("  n=%d: %.0f classes, %.0f lookups, %.1fµs/batch\n", n, sc.Sum("npn_store_classes", a),
+			sc.Sum("npn_service_lookups_total", a), 1e6*secs/batches)
 	}
 }
 
@@ -147,7 +153,7 @@ func startInProcess(lo, hi int) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: federation.NewHandler(reg)}
+	srv := &http.Server{Handler: federation.NewHandlerOpts(reg, federation.HandlerOptions{Metrics: obs.NewRegistry()})}
 	go srv.Serve(ln)
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

@@ -75,12 +75,12 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 	if IsBinaryRequest(r) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
-			writeBodyError(w, err)
+			writeBodyError(w, r, err)
 			return batch{}, false
 		}
 		fs, crc, err := DecodeBinaryRequest(body)
 		if err != nil {
-			WriteError(w, Errf(CodeBadRequest, "bad binary frame: %v", err))
+			WriteError(w, r, Errf(CodeBadRequest, "bad binary frame: %v", err))
 			return batch{}, false
 		}
 		in := batch{fs: fs, errs: make([]*Error, len(fs)), crc: crc}
@@ -99,7 +99,7 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+		writeBodyError(w, r, err)
 		return batch{}, false
 	}
 	// The envelope must be the whole body: a second value after it would
@@ -108,15 +108,15 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 		if err == nil {
 			err = errors.New("data after the request envelope")
 		}
-		writeBodyError(w, err)
+		writeBodyError(w, r, err)
 		return batch{}, false
 	}
 	if len(req.Functions) == 0 {
-		WriteError(w, Errf(CodeBadRequest, "functions must be a non-empty array of hex truth tables"))
+		WriteError(w, r, Errf(CodeBadRequest, "functions must be a non-empty array of hex truth tables"))
 		return batch{}, false
 	}
 	if len(req.Functions) > MaxBatch {
-		WriteError(w, Errf(CodeBatchTooLarge, "batch of %d exceeds limit %d", len(req.Functions), MaxBatch).
+		WriteError(w, r, Errf(CodeBatchTooLarge, "batch of %d exceeds limit %d", len(req.Functions), MaxBatch).
 			WithDetail("split larger batches into requests of at most %d functions", MaxBatch))
 		return batch{}, false
 	}
@@ -148,13 +148,13 @@ func decodeBatch(b Backend, maxBody int64, w http.ResponseWriter, r *http.Reques
 
 // writeBodyError answers a failed request-body read: body_too_large when
 // the byte bound tripped, bad_request otherwise.
-func writeBodyError(w http.ResponseWriter, err error) {
+func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		WriteError(w, Errf(CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit))
+		WriteError(w, r, Errf(CodeBodyTooLarge, "request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
-	WriteError(w, Errf(CodeBadRequest, "bad request body: %v", err))
+	WriteError(w, r, Errf(CodeBadRequest, "bad request body: %v", err))
 }
 
 // runBatch calls op once on the inputs of in that parsed and scatters its
@@ -176,7 +176,7 @@ func runBatch[T any](w http.ResponseWriter, r *http.Request, in batch,
 	if len(valid) > 0 {
 		got, batchErr := op(r.Context(), valid)
 		if batchErr != nil {
-			WriteError(w, batchErr.WithRequestID(reqID))
+			WriteError(w, r, batchErr)
 			return nil, 0, false
 		}
 		j := 0

@@ -28,7 +28,7 @@ func HandleTrace(t *obs.Tracer) http.HandlerFunc {
 		id := r.PathValue("id")
 		d, ok := t.Get(id)
 		if !ok {
-			WriteError(w, Errf(CodeNotFound, "no retained trace %q (evicted, sampled out, or never seen)", id))
+			WriteError(w, r, Errf(CodeNotFound, "no retained trace %q (evicted, sampled out, or never seen)", id))
 			return
 		}
 		WriteJSON(w, http.StatusOK, d)

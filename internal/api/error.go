@@ -42,7 +42,8 @@ const (
 	// endpoint does not accept.
 	CodeUnsupportedMediaType Code = "unsupported_media_type"
 	// CodeReadOnly is a write refused because the server does not accept
-	// writes (a follower in local mode, a read-only store).
+	// it: an insert on a follower in local mode, or compaction asked of
+	// any follower.
 	CodeReadOnly Code = "read_only"
 	// CodeNotDurable is a write that could not be made durable (journal
 	// failure, or a durability operation on a memory-only server).
@@ -95,9 +96,9 @@ type Error struct {
 	Detail  string `json:"detail,omitempty"`
 	// RequestID correlates the error with the request that produced it:
 	// the ID the obs middleware stamped (or the caller supplied via
-	// X-Request-Id). Set on envelope-level errors and on every per-item
-	// batch error, on both transports, so one grep finds a failed item
-	// and its slow-request log line alike.
+	// X-Request-Id). WriteError sets it on every envelope and runBatch on
+	// every per-item batch error, on both transports, so one grep finds a
+	// failed request or item and its slow-request log line alike.
 	RequestID string `json:"request_id,omitempty"`
 }
 

@@ -180,18 +180,18 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 		}
 		p, perr := ParseMapParams(r)
 		if perr != nil {
-			WriteError(w, perr)
+			WriteError(w, r, perr)
 			return
 		}
 		// A doomed insert is refused before the expensive mapping pass,
 		// not after it.
 		if p.Insert {
 			if cfg.Insert == nil {
-				WriteError(w, Errf(CodeReadOnly, "this server does not accept inserts; retry without insert=true"))
+				WriteError(w, r, Errf(CodeReadOnly, "this server does not accept inserts; retry without insert=true"))
 				return
 			}
 			if e := cfg.Insert.CheckArity(p.K); e != nil {
-				WriteError(w, e)
+				WriteError(w, r, e)
 				return
 			}
 		}
@@ -204,15 +204,15 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 		if err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				WriteError(w, Errf(CodeBodyTooLarge, "circuit body exceeds %d bytes", maxBody))
+				WriteError(w, r, Errf(CodeBodyTooLarge, "circuit body exceeds %d bytes", maxBody))
 				return
 			}
-			WriteError(w, Errf(CodeBadRequest, "reading circuit body: %v", err))
+			WriteError(w, r, Errf(CodeBadRequest, "reading circuit body: %v", err))
 			return
 		}
 		g, err := aig.ReadAAG(bytes.NewReader(body))
 		if err != nil {
-			WriteError(w, Errf(CodeBadCircuit, "parsing AIGER body: %v", err))
+			WriteError(w, r, Errf(CodeBadCircuit, "parsing AIGER body: %v", err))
 			return
 		}
 
@@ -222,7 +222,7 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 		}
 		res, err := mapper.Map(g, mapper.Options{K: p.K, CutsPerNode: p.Cuts, Mode: mode})
 		if err != nil {
-			WriteError(w, Errf(CodeBadCircuit, "mapping failed: %v", err))
+			WriteError(w, r, Errf(CodeBadCircuit, "mapping failed: %v", err))
 			return
 		}
 
@@ -236,7 +236,7 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 			err = mapper.VerifySampled(g, res, mapVerifyWords, mapVerifySeed)
 		}
 		if err != nil {
-			WriteError(w, Errf(CodeVerifyFailed, "mapping verification failed: %v", err))
+			WriteError(w, r, Errf(CodeVerifyFailed, "mapping verification failed: %v", err))
 			return
 		}
 
@@ -266,7 +266,7 @@ func HandleMap(cfg MapConfig) http.HandlerFunc {
 		if p.Insert {
 			summary, e := insertMapped(r.Context(), cfg.Insert, res, p.K)
 			if e != nil {
-				WriteError(w, e)
+				WriteError(w, r, e)
 				return
 			}
 			resp.Inserted = summary

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Version is the current API version identifier, the prefix of every new
@@ -74,7 +76,7 @@ func NewRouter(role string) *Router {
 	}
 	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		rt.wrap(UnmatchedRoute, func(w http.ResponseWriter, r *http.Request) {
-			WriteError(w, Errf(CodeNotFound, "no route for %s", r.URL.Path))
+			WriteError(w, r, Errf(CodeNotFound, "no route for %s", r.URL.Path))
 		})(w, r)
 	})
 	return rt
@@ -132,7 +134,7 @@ func (rt *Router) dispatch(byMethod map[string]http.HandlerFunc, w http.Response
 	}
 	sort.Strings(allow)
 	w.Header().Set("Allow", strings.Join(allow, ", "))
-	WriteError(w, Errf(CodeMethodNotAllowed, "method %s not allowed", r.Method).
+	WriteError(w, r, Errf(CodeMethodNotAllowed, "method %s not allowed", r.Method).
 		WithDetail("allowed: %s", strings.Join(allow, ", ")))
 }
 
@@ -183,8 +185,11 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// WriteError emits the {"error": {...}} envelope at the code's status.
-func WriteError(w http.ResponseWriter, e *Error) {
+// WriteError emits the {"error": {...}} envelope at the code's status,
+// stamped with r's request ID (obs.RequestIDFromContext), so every
+// envelope carries the ID its X-Request-Id header echoes.
+func WriteError(w http.ResponseWriter, r *http.Request, e *Error) {
+	e = e.WithRequestID(obs.RequestIDFromContext(r.Context()))
 	WriteJSON(w, e.HTTPStatus(), ErrorEnvelope{Error: e})
 }
 
@@ -205,7 +210,7 @@ func CheckContentType(w http.ResponseWriter, r *http.Request, accepted ...string
 			}
 		}
 	}
-	WriteError(w, Errf(CodeUnsupportedMediaType, "content type %q not accepted", ct).
+	WriteError(w, r, Errf(CodeUnsupportedMediaType, "content type %q not accepted", ct).
 		WithDetail("accepted: %s", strings.Join(accepted, ", ")))
 	return false
 }

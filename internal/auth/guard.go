@@ -138,7 +138,7 @@ func (g *Guard) Wrap(route string, next http.HandlerFunc) http.HandlerFunc {
 			inc(g.unauthorized, route)
 			sp.SetAttr("outcome", "unauthorized")
 			sp.End()
-			api.WriteError(w, err.WithRequestID(obs.RequestIDFromContext(r.Context())))
+			api.WriteError(w, r, err)
 			return
 		}
 		// Auth-only routes spend no tokens: the flight recorder must stay
@@ -283,10 +283,8 @@ func writeRateLimited(w http.ResponseWriter, r *http.Request, retryAfter time.Du
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	e := api.Errf(api.CodeRateLimited, format, args...).
-		WithDetail("retry after %ds", secs).
-		WithRequestID(obs.RequestIDFromContext(r.Context()))
-	api.WriteError(w, e)
+	api.WriteError(w, r, api.Errf(api.CodeRateLimited, format, args...).
+		WithDetail("retry after %ds", secs))
 }
 
 // bearerToken extracts the Authorization: Bearer credential, reporting

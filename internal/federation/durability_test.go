@@ -56,17 +56,17 @@ func TestDurableRestart(t *testing.T) {
 		}
 		classOf[i] = keyIndex(r.Key, r.Index)
 	}
-	st := reg.Stats()
-	if !st.Durable || len(st.PerArity) != 4 {
-		t.Fatalf("stats %+v", st)
+	if active := reg.Active(); len(active) != 4 {
+		t.Fatalf("active arities %v, want 4..7", active)
 	}
-	for _, row := range st.PerArity {
-		if row.WAL == nil || row.WAL.Segments == 0 || row.WAL.Records == 0 {
-			t.Fatalf("arity %d has no WAL stats: %+v", row.Arity, row.WAL)
+	for n := 4; n <= 7; n++ {
+		w := reg.writer(n)
+		if w == nil {
+			t.Fatalf("arity %d has no WAL writer", n)
 		}
-	}
-	if st.Totals.WALSegments == 0 || st.Totals.WALBytes == 0 {
-		t.Fatalf("totals missing WAL shape: %+v", st.Totals)
+		if ws := w.Stats(); ws.Segments == 0 || ws.Records == 0 || ws.Bytes == 0 {
+			t.Fatalf("arity %d WAL shape %+v, want segments, records and bytes", n, ws)
+		}
 	}
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)

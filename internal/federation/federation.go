@@ -18,8 +18,8 @@
 // (store.Recover) and journals every certified new-class insert from then
 // on. CompactAll folds every arity's log into its snapshot on demand (the
 // POST /v2/compact admin endpoint); StartAutoCompact folds, periodically,
-// the arities whose log rotation has sealed a segment. The per-arity
-// stats gain the log's shape: segments, bytes, fsync lag.
+// the arities whose log rotation has sealed a segment. /metrics then
+// carries each arity's log shape: segments, bytes, fsync lag.
 package federation
 
 import (
@@ -44,8 +44,7 @@ const MinFederatedArity = 2
 
 // Options configures every per-arity service in a Registry.
 type Options struct {
-	// Store configures each arity's backing store (shards, MSV config,
-	// read-only).
+	// Store configures each arity's backing store (shards, MSV config).
 	Store store.Options
 	// Service configures each arity's pipeline (workers, LRU capacity).
 	Service service.Options
@@ -335,87 +334,4 @@ func route[R any](ctx context.Context, r *Registry, fs []*tt.TT,
 		}
 	})
 	return out, nil
-}
-
-// Totals aggregates counters across every active arity.
-type Totals struct {
-	Classes         int   `json:"classes"`
-	StoreCollisions int   `json:"store_collisions"`
-	Lookups         int64 `json:"lookups"`
-	Hits            int64 `json:"hits"`
-	Misses          int64 `json:"misses"`
-	CacheHits       int64 `json:"cache_hits"`
-	Inserts         int64 `json:"inserts"`
-	Created         int64 `json:"created"`
-	Collisions      int64 `json:"insert_collisions"`
-	ProfileHits     int64 `json:"profile_hits"`
-	ProfileMisses   int64 `json:"profile_misses"`
-	ProfileEntries  int64 `json:"profile_entries"`
-	Deduped         int64 `json:"deduped_keys"`
-	JournalErrors   int64 `json:"journal_errors"`
-	WALSegments     int   `json:"wal_segments"`
-	WALBytes        int64 `json:"wal_bytes"`
-	InflightBatches int64 `json:"inflight_batches"`
-}
-
-// ArityStats is one arity's stats row: the service counters plus, on a
-// durable registry, the arity's WAL shape.
-type ArityStats struct {
-	service.Stats
-	// WAL is the arity's log shape (segments, bytes, fsync lag); nil on a
-	// memory-only registry.
-	WAL *wal.Stats `json:"wal,omitempty"`
-}
-
-// Stats is a point-in-time snapshot of the whole federation: the arity
-// range, aggregate totals and the per-arity breakdown for every arity
-// whose service has been constructed.
-type Stats struct {
-	MinVars       int          `json:"min_vars"`
-	MaxVars       int          `json:"max_vars"`
-	Durable       bool         `json:"durable"`
-	ActiveArities []int        `json:"active_arities"`
-	Totals        Totals       `json:"totals"`
-	PerArity      []ArityStats `json:"per_arity"`
-}
-
-// Stats returns the aggregate and per-arity counters. The slice fields
-// are always non-nil so they encode as JSON arrays even when empty.
-func (r *Registry) Stats() Stats {
-	st := Stats{
-		MinVars:       r.lo,
-		MaxVars:       r.hi,
-		Durable:       r.Durable(),
-		ActiveArities: []int{},
-		PerArity:      []ArityStats{},
-	}
-	for _, n := range r.Active() {
-		svc, _ := r.Service(n)
-		s := svc.Stats()
-		row := ArityStats{Stats: s}
-		if w := r.writer(n); w != nil {
-			ws := w.Stats()
-			row.WAL = &ws
-			st.Totals.WALSegments += ws.Segments
-			st.Totals.WALBytes += ws.Bytes
-		}
-		st.ActiveArities = append(st.ActiveArities, n)
-		st.PerArity = append(st.PerArity, row)
-		st.Totals.Classes += s.Classes
-		st.Totals.StoreCollisions += s.StoreCollisions
-		st.Totals.Lookups += s.Lookups
-		st.Totals.Hits += s.Hits
-		st.Totals.Misses += s.Misses
-		st.Totals.CacheHits += s.CacheHits
-		st.Totals.Inserts += s.Inserts
-		st.Totals.Created += s.Created
-		st.Totals.Collisions += s.Collisions
-		st.Totals.ProfileHits += s.ProfileHits
-		st.Totals.ProfileMisses += s.ProfileMisses
-		st.Totals.ProfileEntries += s.ProfileEntries
-		st.Totals.Deduped += s.Deduped
-		st.Totals.JournalErrors += s.JournalErrors
-		st.Totals.InflightBatches += s.InflightBatches
-	}
-	return st
 }

@@ -88,7 +88,6 @@ func (o HandlerOptions) Mount(rt *api.Router, reg *Registry) {
 //	                   LUT classes
 //	POST /v2/compact   admin: fold sealed WAL segments (409 via code
 //	                   not_durable on a memory-only registry)
-//	GET  /v2/stats     aggregate totals + per-arity breakdown
 //	GET  /v2/spec      routes + error codes
 //	GET  /healthz      liveness + federated range
 //
@@ -125,18 +124,14 @@ func NewHandlerOpts(reg *Registry, o HandlerOptions) http.Handler {
 		func(w http.ResponseWriter, r *http.Request) {
 			results, err := reg.CompactAll()
 			if errors.Is(err, ErrNotDurable) {
-				api.WriteError(w, api.Errf(api.CodeNotDurable, "%v", err))
+				api.WriteError(w, r, api.Errf(api.CodeNotDurable, "%v", err))
 				return
 			}
 			if err != nil {
-				api.WriteError(w, api.Errf(api.CodeInternal, "%v", err))
+				api.WriteError(w, r, api.Errf(api.CodeInternal, "%v", err))
 				return
 			}
 			api.WriteJSON(w, http.StatusOK, map[string]any{"arities": results})
-		})
-	rt.Handle("GET", "/v2/stats", "aggregate totals + per-arity breakdown",
-		func(w http.ResponseWriter, r *http.Request) {
-			api.WriteJSON(w, http.StatusOK, reg.Stats())
 		})
 	rt.Handle("GET", "/healthz", "liveness + federated range",
 		func(w http.ResponseWriter, r *http.Request) {

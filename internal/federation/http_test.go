@@ -43,9 +43,11 @@ func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 
 // TestHandlerMixedArityRoundTrip drives the federated handler end to end
 // over HTTP: a mixed insert, a mixed classify of disguises with witness
-// replay, and a per-arity stats read.
+// replay, and a per-arity read of the hit counters.
 func TestHandlerMixedArityRoundTrip(t *testing.T) {
-	srv := newTestServer(t, 4, 8)
+	reg := mustNew(t, 4, 8)
+	srv := httptest.NewServer(NewHandler(reg))
+	t.Cleanup(srv.Close)
 	rng := rand.New(rand.NewSource(510))
 
 	var base []*tt.TT
@@ -93,17 +95,14 @@ func TestHandlerMixedArityRoundTrip(t *testing.T) {
 		}
 	}
 
-	stResp, err := http.Get(srv.URL + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
+	if active := reg.Active(); len(active) != 5 {
+		t.Fatalf("active arities %v, want 4..8", active)
 	}
-	defer stResp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.ActiveArities) != 5 || st.Totals.Hits != int64(len(base)) {
-		t.Fatalf("stats %+v", st)
+	for n := 4; n <= 8; n++ {
+		svc, _ := reg.Service(n)
+		if hits := svc.Stats().Hits; hits != 1 {
+			t.Fatalf("arity %d counted %d hits, want 1", n, hits)
+		}
 	}
 }
 
@@ -319,18 +318,9 @@ func TestHandlerCompact(t *testing.T) {
 		t.Fatalf("compact report %s", raw)
 	}
 
-	// The durable stats now show the log's shape.
-	stResp, err := http.Get(dsrv.URL + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stResp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Durable || len(st.PerArity) != 1 || st.PerArity[0].WAL == nil {
-		t.Fatalf("durable stats %+v", st)
+	// The one active arity has a log, and it holds the live segment.
+	if active := reg.Active(); len(active) != 1 || active[0] != 5 || reg.writer(5) == nil || reg.writer(5).Stats().Segments == 0 {
+		t.Fatalf("durable registry: active %v, arity 5 writer %v", active, reg.writer(5))
 	}
 }
 
@@ -389,7 +379,7 @@ func TestMapInsertRefusesUnservedK(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodeArityOutOfRange {
 		t.Fatalf("map k=3 insert: status %d, %v, error %+v", resp.StatusCode, err, env.Error)
 	}
-	if st := reg.Stats(); st.Totals.Inserts != 0 || st.Totals.Classes != 0 || len(st.ActiveArities) != 0 {
-		t.Fatalf("refused map insert left state behind: %+v", st)
+	if active := reg.Active(); len(active) != 0 {
+		t.Fatalf("refused map insert constructed arities %v", active)
 	}
 }

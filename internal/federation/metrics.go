@@ -1,11 +1,11 @@
-// Prometheus export of the federation's counters (internal/obs). The
-// registry keeps exactly one source of truth — the same atomic counters
-// and Stats() snapshots /v2/stats serves — and exposes them
-// as pull collectors read at scrape time, so the JSON stats and the
-// /metrics exposition can never disagree. Only latency and size
-// distributions (batch size/duration, fsync duration), which no JSON
-// counter carries, are push-updated histograms fed through the
-// service.Options.ObserveBatch and wal.Options.ObserveFsync hooks.
+// Prometheus export of the federation's counters (internal/obs), the
+// registry's one read-out. Each layer keeps its own counters behind a
+// Stats() snapshot (service, WAL writer) or shape accessors (store), and
+// a pull collector reads them at scrape time, so /metrics is a view of
+// those counters, never a copy. Only latency and size distributions
+// (batch size/duration, fsync duration), which no counter carries, are
+// push-updated histograms fed through the service.Options.ObserveBatch
+// and wal.Options.ObserveFsync hooks.
 package federation
 
 import (
@@ -94,7 +94,7 @@ func registryFams() []obs.FuncFamily {
 // RegisterMetrics exports the federation on m: push histograms for batch
 // size/duration and fsync latency (installed into every service and WAL
 // writer constructed afterwards — call before serving traffic), and a
-// pull collector for everything the stats snapshots already count.
+// pull collector for everything the layers' snapshots already count.
 // Idempotent: a second call is a no-op, so handler construction and cmd
 // wiring can both call it safely.
 func (r *Registry) RegisterMetrics(m *obs.Registry) {
@@ -139,8 +139,11 @@ func (r *Registry) hooksFor(n int) (observeBatch func(string, int, time.Duration
 	return observeBatch, observeFsync
 }
 
-// collectMetrics is the pull collector: one Stats-style snapshot per
-// scrape, fanned into every registered family.
+// collectMetrics is the pull collector: one snapshot of each layer per
+// scrape, fanned into every registered family. Each store is walked
+// twice, chains first: classes are the sum of the shard sizes read after,
+// and collisions are classes minus chains. Both counts only grow and
+// every chain holds a class, so the difference is never negative.
 func (r *Registry) collectMetrics(emit func(fam int, labelValues []string, value float64)) {
 	active := r.Active()
 	emit(famFedActive, nil, float64(len(active)))
@@ -163,8 +166,6 @@ func (r *Registry) collectMetrics(emit func(fam int, labelValues []string, value
 		emit(famSvcBatches, a, float64(s.Batches))
 		emit(famSvcInflight, a, float64(s.InflightBatches))
 		emit(famSvcCacheEntries, a, float64(s.CacheEntries))
-		emit(famStoreClasses, a, float64(s.Classes))
-		emit(famStoreCollisions, a, float64(s.StoreCollisions))
 		emit(famProfHits, a, float64(s.ProfileHits))
 		emit(famProfMisses, a, float64(s.ProfileMisses))
 		emit(famProfEntries, a, float64(s.ProfileEntries))
@@ -172,11 +173,15 @@ func (r *Registry) collectMetrics(emit func(fam int, labelValues []string, value
 
 		st := svc.Store()
 		chains, maxLen := st.ChainStats()
-		emit(famStoreChains, a, float64(chains))
-		emit(famStoreChainMax, a, float64(maxLen))
+		classes := 0
 		for i, sz := range st.ShardSizes() {
+			classes += sz
 			emit(famStoreShard, []string{a[0], strconv.Itoa(i)}, float64(sz))
 		}
+		emit(famStoreClasses, a, float64(classes))
+		emit(famStoreCollisions, a, float64(classes-chains))
+		emit(famStoreChains, a, float64(chains))
+		emit(famStoreChainMax, a, float64(maxLen))
 
 		if w := r.writer(n); w != nil {
 			ws := w.Stats()

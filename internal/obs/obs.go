@@ -11,9 +11,8 @@
 // internal/wal, internal/federation, internal/replica) already keeps its
 // own atomic counters, and those layers register pull collectors
 // (RegisterFunc) that read the very same atomics at scrape time. The
-// /v2/stats JSON body and the /metrics exposition are therefore two
-// renderings of one set of counters and can never disagree. Only
-// genuinely new measurements — latency distributions — live in the
+// /metrics exposition is the server's one read-out of those counters.
+// Only genuinely new measurements — latency distributions — live in the
 // registry itself, as push-updated histograms.
 //
 // Instruments are safe for concurrent use; Observe/Add/Set are a handful

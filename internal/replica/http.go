@@ -28,9 +28,6 @@ import (
 //	POST /v2/map       mapped locally; ?insert=true forwards the LUT
 //	                   classes in proxy mode and is read_only in local.
 //	POST /v2/compact   read_only/403 always; compaction is the primary's.
-//	GET  /v2/stats     the federation stats plus a "replication" section
-//	                   (lag in segments/bytes per arity, sync health,
-//	                   proxy counters).
 //	GET  /v2/spec      routes + error codes.
 //	GET  /healthz      role and primary; 503 with status "stale" when
 //	                   the staleness gate (Options.StaleAfter) is
@@ -40,7 +37,8 @@ import (
 // Classify and insert speak the JSON envelope and the binary frame, as
 // on the primary. The observability surface is mounted exactly as on
 // the primary (federation.HandlerOptions.Mount); with Metrics set, GET
-// /metrics also carries the replication lag/sync/proxy series.
+// /metrics also carries the replication lag/sync/proxy series, the
+// follower's one read-out of its counters.
 func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 	rt := api.NewRouter("follower")
 	reg := f.Registry()
@@ -67,15 +65,8 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 		api.HandleMap(api.MapConfig{MaxBody: o.MaxBody, Insert: mapInsert}))
 	rt.Handle("POST", "/v2/compact", "refused on a follower",
 		func(w http.ResponseWriter, r *http.Request) {
-			api.WriteError(w, api.Errf(api.CodeReadOnly,
+			api.WriteError(w, r, api.Errf(api.CodeReadOnly,
 				"follower holds no write-ahead log; compact on the primary %s", f.Primary()))
-		})
-	rt.Handle("GET", "/v2/stats", "federation + replication counters",
-		func(w http.ResponseWriter, r *http.Request) {
-			api.WriteJSON(w, http.StatusOK, statsResponse{
-				Stats:       reg.Stats(),
-				Replication: f.Stats(),
-			})
 		})
 	rt.Handle("GET", "/healthz", "role, primary, staleness gate",
 		func(w http.ResponseWriter, r *http.Request) {
@@ -97,13 +88,6 @@ func NewHandlerOpts(f *Follower, o federation.HandlerOptions) http.Handler {
 		})
 	rt.MountSpec()
 	return rt
-}
-
-// statsResponse is the follower's stats body: the flat federation stats
-// with the replication section alongside.
-type statsResponse struct {
-	federation.Stats
-	Replication Stats `json:"replication"`
 }
 
 // replicaBackend adapts the follower to the shared /v2 handlers: the

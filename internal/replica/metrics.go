@@ -1,7 +1,6 @@
 // Prometheus export of the follower's replication state (internal/obs):
-// lag gauges per arity, tail-loop health and the proxy counters — the
-// same numbers the stats "replication" section serves, read from the
-// same snapshot, so /metrics and /v2/stats can never disagree.
+// lag gauges per arity, tail-loop health and the proxy counters, read
+// from the Follower.Stats snapshot at scrape time.
 package replica
 
 import (

@@ -29,10 +29,10 @@
 // a follower's state is always a prefix of the primary's durable
 // history), and a class is visible locally at most one poll interval
 // plus one primary fsync interval after it was acknowledged.
-// Lag is tracked per arity in segments and bytes and exposed through
-// Stats (the follower handler's /v2/stats replication section); when the
-// primary stops answering, the follower keeps serving its replicated
-// classes — reads never depend on the primary being alive.
+// Lag is tracked per arity in segments and bytes, snapshotted by Stats
+// and exported on the follower's /metrics; when the primary stops
+// answering, the follower keeps serving its replicated classes — reads
+// never depend on the primary being alive.
 package replica
 
 import (
@@ -155,7 +155,6 @@ type Follower struct {
 	mu         sync.Mutex
 	arities    map[int]arityState
 	lastSync   time.Time // last fully successful SyncOnce
-	lastErr    string
 	loggedErr  string
 	syncs      int64
 	syncErrors int64
@@ -273,17 +272,16 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	return firstErr
 }
 
-// noteSync records a sync outcome for staleness and stats.
+// noteSync records a sync outcome for staleness and stats. The error
+// text itself goes to the log (Run).
 func (f *Follower) noteSync(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.syncs++
 	if err != nil {
 		f.syncErrors++
-		f.lastErr = err.Error()
 		return
 	}
-	f.lastErr = ""
 	f.lastSync = time.Now()
 }
 
@@ -521,47 +519,37 @@ func (f *Follower) Stale() bool {
 	return f.lastSync.IsZero() || time.Since(f.lastSync) > f.opts.StaleAfter
 }
 
-// ArityLag is one arity's replication cursor and lag, as exposed in
-// stats.
+// ArityLag is one arity's replication progress and lag.
 type ArityLag struct {
-	Arity          int    `json:"arity"`
-	Bootstrapped   bool   `json:"bootstrapped"`
-	NextSeq        uint64 `json:"next_seq"`
-	Offset         int64  `json:"offset"`
-	AppliedRecords int64  `json:"applied_records"`
-	LagSegments    int    `json:"lag_segments"`
-	LagBytes       int64  `json:"lag_bytes"`
+	Arity          int
+	AppliedRecords int64
+	LagSegments    int
+	LagBytes       int64
 }
 
-// Stats is the replication section of a follower's /v2/stats: the
-// primary, the tail loop's health and the per-arity cursors with their
-// lag in segments and bytes.
+// Stats is a snapshot of a follower's replication state: the tail loop's
+// health, the proxy counters and the per-arity lag in segments and bytes.
 type Stats struct {
-	Primary       string  `json:"primary"`
-	Mode          string  `json:"mode"`
-	Syncs         int64   `json:"syncs"`
-	SyncErrors    int64   `json:"sync_errors"`
-	LastError     string  `json:"last_error,omitempty"`
-	LastSyncAgeMs float64 `json:"last_sync_age_ms"` // -1 before the first success
-	Stale         bool    `json:"stale"`
+	Syncs         int64
+	SyncErrors    int64
+	LastSyncAgeMs float64 // -1 before the first success
+	Stale         bool
 
-	AppliedRecords int64 `json:"applied_records"`
-	SnapshotLoads  int64 `json:"snapshot_loads"`
+	AppliedRecords int64
+	SnapshotLoads  int64
 
-	ProxiedClassifies int64 `json:"proxied_classifies"`
-	ProxiedInserts    int64 `json:"proxied_inserts"`
-	ProxyErrors       int64 `json:"proxy_errors"`
+	ProxiedClassifies int64
+	ProxiedInserts    int64
+	ProxyErrors       int64
 
-	LagSegments int        `json:"lag_segments"`
-	LagBytes    int64      `json:"lag_bytes"`
-	Arities     []ArityLag `json:"arities"`
+	LagSegments int
+	LagBytes    int64
+	Arities     []ArityLag
 }
 
 // Stats returns a snapshot of the replication state.
 func (f *Follower) Stats() Stats {
 	st := Stats{
-		Primary:           f.opts.Primary,
-		Mode:              f.opts.Mode.String(),
 		Stale:             f.Stale(),
 		AppliedRecords:    f.applied.Load(),
 		SnapshotLoads:     f.snapshotLoads.Load(),
@@ -569,11 +557,10 @@ func (f *Follower) Stats() Stats {
 		ProxiedInserts:    f.proxiedInserts.Load(),
 		ProxyErrors:       f.proxyErrors.Load(),
 		LastSyncAgeMs:     -1,
-		Arities:           []ArityLag{},
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st.Syncs, st.SyncErrors, st.LastError = f.syncs, f.syncErrors, f.lastErr
+	st.Syncs, st.SyncErrors = f.syncs, f.syncErrors
 	if !f.lastSync.IsZero() {
 		st.LastSyncAgeMs = float64(time.Since(f.lastSync).Nanoseconds()) / 1e6
 	}
@@ -584,9 +571,6 @@ func (f *Follower) Stats() Stats {
 		}
 		st.Arities = append(st.Arities, ArityLag{
 			Arity:          n,
-			Bootstrapped:   a.bootstrapped,
-			NextSeq:        a.nextSeq,
-			Offset:         a.offset,
 			AppliedRecords: a.applied,
 			LagSegments:    a.lagSegments,
 			LagBytes:       a.lagBytes,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,32 +98,25 @@ func errorCode(t *testing.T, body []byte) api.Code {
 	return env.Error.Code
 }
 
-// followerStats decodes the follower's /v2/stats: federation stats plus
-// the replication section.
-type followerStats struct {
-	federation.Stats
-	Replication replica.Stats `json:"replication"`
-}
-
-func getStats(t *testing.T, url string) followerStats {
+// classes counts the classes stored across reg's active arities.
+func classes(t *testing.T, reg *federation.Registry) int {
 	t.Helper()
-	resp, err := http.Get(url + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
+	total := 0
+	for _, n := range reg.Active() {
+		svc, err := reg.Service(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += svc.Store().Size()
 	}
-	defer resp.Body.Close()
-	var st followerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return total
 }
 
 // TestFollowerEndToEnd is the replication acceptance scenario: a
 // follower started after N inserts converges to the primary's classes
 // with identical (class, index) identities, resumes tailing across new
-// inserts and a compaction, reports lag in its stats, and keeps serving
-// reads after the primary dies.
+// inserts and a compaction, reports lag in its Stats snapshot, and keeps
+// serving reads after the primary dies.
 func TestFollowerEndToEnd(t *testing.T) {
 	preg, psrv := newPrimary(t)
 	ctx := context.Background()
@@ -144,7 +138,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 	}
 
 	// Convergence: same class count...
-	pTotal, fTotal := preg.Stats().Totals.Classes, fol.Registry().Stats().Totals.Classes
+	pTotal, fTotal := classes(t, preg), classes(t, fol.Registry())
 	if pTotal == 0 || fTotal != pTotal {
 		t.Fatalf("follower holds %d classes, primary %d", fTotal, pTotal)
 	}
@@ -192,25 +186,25 @@ func TestFollowerEndToEnd(t *testing.T) {
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fol.Registry().Stats().Totals.Classes, preg.Stats().Totals.Classes; got != want {
+	if got, want := classes(t, fol.Registry()), classes(t, preg); got != want {
 		t.Fatalf("after compaction follower holds %d classes, primary %d", got, want)
 	}
 
-	// Stats surface: replication section with lag in segments/bytes. A
-	// pass that finds nothing new reports zero lag.
+	// Stats snapshot: lag in segments/bytes. A pass that finds nothing
+	// new reports zero lag.
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := getStats(t, fsrv.URL)
-	if st.Replication.Primary != psrv.URL || st.Replication.Syncs == 0 {
-		t.Fatalf("replication stats %+v", st.Replication)
+	st := fol.Stats()
+	if st.Syncs == 0 {
+		t.Fatalf("replication stats %+v", st)
 	}
-	if st.Replication.LagSegments != 0 || st.Replication.LagBytes != 0 {
+	if st.LagSegments != 0 || st.LagBytes != 0 {
 		t.Fatalf("caught-up follower reports lag %d segments / %d bytes",
-			st.Replication.LagSegments, st.Replication.LagBytes)
+			st.LagSegments, st.LagBytes)
 	}
-	if len(st.Replication.Arities) == 0 || st.Replication.AppliedRecords == 0 {
-		t.Fatalf("replication stats %+v", st.Replication)
+	if len(st.Arities) == 0 || st.AppliedRecords == 0 {
+		t.Fatalf("replication stats %+v", st)
 	}
 
 	// Primary dies. Sync fails, reads keep working — the whole point.
@@ -224,20 +218,20 @@ func TestFollowerEndToEnd(t *testing.T) {
 			t.Fatalf("variant %d lost after primary death", i)
 		}
 	}
-	if st := getStats(t, fsrv.URL); st.Replication.LastError == "" {
-		t.Fatal("sync failure not visible in stats")
+	if after := fol.Stats().SyncErrors; after <= st.SyncErrors {
+		t.Fatalf("sync errors %d after a failed pass, %d before: failure not counted", after, st.SyncErrors)
 	}
 }
 
 // TestFollowerLagIsPassBacklog: the lag a pass reports is the backlog it
 // found, so records the primary logged since the previous pass show up
-// as nonzero lag in the stats right after the pass that applied them,
-// and the next pass, finding nothing new, reads zero.
+// as nonzero lag in the Stats snapshot right after the pass that applied
+// them, and the next pass, finding nothing new, reads zero.
 func TestFollowerLagIsPassBacklog(t *testing.T) {
 	preg, psrv := newPrimary(t)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(43))
-	fol, fsrv := newFollower(t, psrv.URL, replica.ModeLocal, 0)
+	fol, _ := newFollower(t, psrv.URL, replica.ModeLocal, 0)
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -248,21 +242,21 @@ func TestFollowerLagIsPassBacklog(t *testing.T) {
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := getStats(t, fsrv.URL)
-	if st.Replication.LagBytes <= 0 || st.Replication.LagSegments <= 0 {
+	st := fol.Stats()
+	if st.LagBytes <= 0 || st.LagSegments <= 0 {
 		t.Fatalf("pass over new records reports lag %d segments / %d bytes, want > 0",
-			st.Replication.LagSegments, st.Replication.LagBytes)
+			st.LagSegments, st.LagBytes)
 	}
-	if got, want := fol.Registry().Stats().Totals.Classes, preg.Stats().Totals.Classes; got != want {
+	if got, want := classes(t, fol.Registry()), classes(t, preg); got != want {
 		t.Fatalf("follower holds %d classes, primary %d", got, want)
 	}
 
 	if err := fol.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st := getStats(t, fsrv.URL); st.Replication.LagBytes != 0 || st.Replication.LagSegments != 0 {
+	if st := fol.Stats(); st.LagBytes != 0 || st.LagSegments != 0 {
 		t.Fatalf("pass over nothing new reports lag %d segments / %d bytes, want zero",
-			st.Replication.LagSegments, st.Replication.LagBytes)
+			st.LagSegments, st.LagBytes)
 	}
 }
 
@@ -530,4 +524,51 @@ func TestFollowerRunLoop(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestSyncErrorReachesLog: the tail loop hands a failed pass's error
+// text to Options.Logf — the only place it is kept — and logs it once per
+// error transition, not once per failed pass.
+func TestSyncErrorReachesLog(t *testing.T) {
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "down for maintenance", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(primary.Close)
+	reg, err := federation.New(4, 6, federation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	fol := replica.New(reg, replica.Options{Primary: primary.URL, Interval: time.Millisecond, Mode: replica.ModeLocal,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+
+	// Passes run one after another, so once a third has failed the first
+	// two have finished logging. Read the log before cancelling: the pass
+	// the cancel interrupts fails with a different error.
+	deadline := time.Now().Add(10 * time.Second)
+	for fol.Stats().SyncErrors < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("run loop never failed three passes")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	got := append([]string(nil), lines...)
+	mu.Unlock()
+	cancel()
+	<-done
+
+	want := "replica: sync: GET /v1/wal/segments: 503 Service Unavailable"
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("log lines %q, want exactly [%q]", got, want)
+	}
 }

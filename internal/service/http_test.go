@@ -177,27 +177,30 @@ func TestHandlerMethods(t *testing.T) {
 	}
 }
 
+// TestHandlerStatsAndHealth: /healthz reports the served arity once its
+// service is up, and the counters have no JSON route — GET /v2/stats is
+// not_found; /metrics is their read-out.
 func TestHandlerStatsAndHealth(t *testing.T) {
 	svc, h := newTestHandler(t, 3, service.Options{Workers: 2})
 	svc.InsertCtx(context.Background(), []*tt.TT{tt.MustFromHex(3, "e8")})
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stats status %d", rec.Code)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var health struct {
+		Status  string `json:"status"`
+		MinVars int    `json:"min_vars"`
+		MaxVars int    `json:"max_vars"`
+		Active  []int  `json:"active"`
 	}
-	st := decode[federation.Stats](t, rec)
-	if len(st.PerArity) != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if a := st.PerArity[0]; a.Arity != 3 || a.Classes != 1 || a.Inserts != 1 {
-		t.Fatalf("arity stats %+v", a)
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil || rec.Code != http.StatusOK ||
+		health.Status != "ok" || health.MinVars != 3 || health.MaxVars != 3 || len(health.Active) != 1 || health.Active[0] != 3 {
+		t.Fatalf("healthz %d %s", rec.Code, rec.Body)
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
-		t.Fatalf("healthz %d %s", rec.Code, rec.Body)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
+	if env := decode[api.ErrorEnvelope](t, rec); rec.Code != http.StatusNotFound || env.Error == nil || env.Error.Code != api.CodeNotFound {
+		t.Fatalf("GET /v2/stats: %d %s, want 404 not_found", rec.Code, rec.Body)
 	}
 }
 

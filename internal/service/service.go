@@ -1,7 +1,7 @@
 // Package service is the online classification pipeline on top of
 // internal/store: batch classify/insert requests fanned across a worker
 // pool, a bounded LRU cache of recent function → (class, witness) results,
-// and atomic counters (hits, misses, collisions, latency) exposed as a
+// and atomic counters (hits, misses, collisions, dedup) exposed as a
 // stats snapshot. The pipeline is transport-agnostic: internal/federation
 // serves one Service per arity over HTTP, and it is usable in-process.
 //
@@ -58,13 +58,11 @@ type Service struct {
 	cache        *lruCache // nil when disabled
 	observeBatch func(op string, size int, d time.Duration)
 
-	started time.Time
-
 	// inflight counts batches currently executing on the worker pool —
 	// the live depth admission control (internal/auth) sheds on.
 	inflight atomic.Int64
 
-	// Atomic counters. Latency is accumulated per batch in nanoseconds.
+	// Atomic counters.
 	lookups    atomic.Int64
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -74,7 +72,6 @@ type Service struct {
 	collisions atomic.Int64
 	deduped    atomic.Int64
 	batches    atomic.Int64
-	latencyNS  atomic.Int64
 }
 
 // New returns a service over st.
@@ -90,15 +87,11 @@ func New(st *store.Store, o Options) *Service {
 	case o.CacheSize > 0:
 		cache = newLRUCache(o.CacheSize)
 	}
-	return &Service{st: st, workers: workers, cache: cache,
-		observeBatch: o.ObserveBatch, started: time.Now()}
+	return &Service{st: st, workers: workers, cache: cache, observeBatch: o.ObserveBatch}
 }
 
 // Store returns the backing class store.
 func (s *Service) Store() *store.Store { return s.st }
-
-// Workers returns the worker-pool width batches fan out across.
-func (s *Service) Workers() int { return s.workers }
 
 // InflightBatches returns the number of batches executing right now —
 // the queue-pressure signal load shedding compares against its limit.
@@ -202,10 +195,8 @@ func runBatch[R any](ctx context.Context, s *Service, op string, total *atomic.I
 	}
 	total.Add(int64(len(fs)))
 	s.batches.Add(1)
-	d := time.Since(start)
-	s.latencyNS.Add(d.Nanoseconds())
 	if s.observeBatch != nil {
-		s.observeBatch(op, len(fs), d)
+		s.observeBatch(op, len(fs), time.Since(start))
 	}
 	batch.End()
 	return out
@@ -316,58 +307,44 @@ func appendCacheKey(b []byte, f *tt.TT) []byte {
 	return b
 }
 
-// Stats is a point-in-time snapshot of the service counters.
+// Stats is a point-in-time snapshot of the service counters. The store's
+// shape (classes, chains) is the store's to report.
 type Stats struct {
-	Arity   int `json:"arity"`
-	Workers int `json:"workers"`
-	Shards  int `json:"shards"`
-
-	Classes         int `json:"classes"`
-	StoreCollisions int `json:"store_collisions"`
-
-	Lookups    int64 `json:"lookups"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	CacheHits  int64 `json:"cache_hits"`
-	Inserts    int64 `json:"inserts"`
-	Created    int64 `json:"created"`
-	Collisions int64 `json:"insert_collisions"`
+	Lookups    int64
+	Hits       int64
+	Misses     int64
+	CacheHits  int64
+	Inserts    int64
+	Created    int64
+	Collisions int64 // new classes chained behind an occupied key
 
 	// Deduped counts batch members answered by another copy of the same
 	// function in their own batch — store work the key dedup saved.
-	Deduped int64 `json:"deduped_keys"`
+	Deduped int64
 
 	// JournalErrors counts inserts the store refused because its
 	// write-ahead journal failed; zero without a journal.
-	JournalErrors int64 `json:"journal_errors"`
+	JournalErrors int64
 
 	// Representative-profile cache counters from the store: hits reuse a
 	// memoized matcher profile, misses build one, entries count memoized
 	// profiles.
-	ProfileHits    int64 `json:"profile_hits"`
-	ProfileMisses  int64 `json:"profile_misses"`
-	ProfileEntries int64 `json:"profile_entries"`
+	ProfileHits    int64
+	ProfileMisses  int64
+	ProfileEntries int64
 
-	Batches        int64   `json:"batches"`
-	AvgBatchMicros float64 `json:"avg_batch_micros"`
+	Batches int64
 
 	// InflightBatches is the number of batches executing at snapshot
 	// time — the live pool depth load shedding watches.
-	InflightBatches int64 `json:"inflight_batches"`
+	InflightBatches int64
 
-	CacheEntries  int     `json:"cache_entries"`
-	CacheCapacity int     `json:"cache_capacity"`
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	CacheEntries int
 }
 
-// Stats returns a snapshot of the counters and store shape.
+// Stats returns a snapshot of the counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Arity:           s.st.NumVars(),
-		Workers:         s.workers,
-		Shards:          s.st.NumShards(),
-		Classes:         s.st.Size(),
-		StoreCollisions: s.st.Collisions(),
 		Lookups:         s.lookups.Load(),
 		Hits:            s.hits.Load(),
 		Misses:          s.misses.Load(),
@@ -379,15 +356,10 @@ func (s *Service) Stats() Stats {
 		JournalErrors:   s.st.JournalErrors(),
 		Batches:         s.batches.Load(),
 		InflightBatches: s.inflight.Load(),
-		UptimeSeconds:   time.Since(s.started).Seconds(),
 	}
 	st.ProfileHits, st.ProfileMisses, st.ProfileEntries = s.st.ProfileCacheStats()
-	if st.Batches > 0 {
-		st.AvgBatchMicros = float64(s.latencyNS.Load()) / float64(st.Batches) / 1e3
-	}
 	if s.cache != nil {
 		st.CacheEntries = s.cache.len()
-		st.CacheCapacity = s.cache.cap
 	}
 	return st
 }

@@ -134,8 +134,8 @@ func TestCache(t *testing.T) {
 	if st.CacheHits != 1 {
 		t.Fatalf("cache hits %d, want 1", st.CacheHits)
 	}
-	if st.CacheEntries != 1 || st.CacheCapacity != 8 {
-		t.Fatalf("cache entries=%d cap=%d, want 1 and 8", st.CacheEntries, st.CacheCapacity)
+	if st.CacheEntries != 1 || svc.cache.cap != 8 {
+		t.Fatalf("cache entries=%d cap=%d, want 1 and 8", st.CacheEntries, svc.cache.cap)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestCacheDisabled(t *testing.T) {
 	svc.InsertCtx(ctx, []*tt.TT{f})
 	svc.ClassifyCtx(ctx, []*tt.TT{f})
 	svc.ClassifyCtx(ctx, []*tt.TT{f})
-	if st := svc.Stats(); st.CacheHits != 0 || st.CacheEntries != 0 || st.CacheCapacity != 0 {
+	if st := svc.Stats(); svc.cache != nil || st.CacheHits != 0 || st.CacheEntries != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
 	}
 }
@@ -226,8 +226,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.Inserts != 3 || st.Created != 2 || st.Collisions != 1 {
 		t.Fatalf("inserts=%d created=%d collisions=%d, want 3, 2, 1", st.Inserts, st.Created, st.Collisions)
 	}
-	if st.StoreCollisions != 1 || st.Classes != 2 {
-		t.Fatalf("store collisions=%d classes=%d, want 1 and 2", st.StoreCollisions, st.Classes)
+	if chains, _ := svc.Store().ChainStats(); svc.Store().Size() != 2 || chains != 1 {
+		t.Fatalf("store holds %d classes in %d chains, want 2 in 1", svc.Store().Size(), chains)
 	}
 	if st.Batches != 1 {
 		t.Fatalf("batches=%d, want 1", st.Batches)
@@ -310,7 +310,7 @@ func TestInflightBatches(t *testing.T) {
 	if got := svc.InflightBatches(); got != 0 {
 		t.Fatalf("InflightBatches after batch = %d, want 0", got)
 	}
-	if svc.Workers() != 1 {
-		t.Fatalf("Workers = %d, want 1", svc.Workers())
+	if svc.workers != 1 {
+		t.Fatalf("workers = %d, want 1", svc.workers)
 	}
 }

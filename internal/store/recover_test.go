@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -183,8 +185,9 @@ func TestRecoverConfigMismatch(t *testing.T) {
 }
 
 // TestRecoverAfterCompaction: snapshot + remaining log must recover the
-// same store as the log alone did, including when stale segments overlap
-// the snapshot after a crashed compaction.
+// same class set as the log alone did, with inserts made after the
+// compaction landing in the log. Interrupted passes are
+// TestRecoverAfterInterruptedCompaction's.
 func TestRecoverAfterCompaction(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -221,6 +224,128 @@ func TestRecoverAfterCompaction(t *testing.T) {
 	w2.Close()
 }
 
+// TestRecoverAfterInterruptedCompaction: a compaction stopped between
+// any two of its steps must leave a directory that recovers every logged
+// function with its (key, index) and a witness that replays. The three
+// states a pass can stop in — the new snapshot written aside but not
+// renamed, renamed with no folded segment deleted, renamed with the lower
+// half of them deleted — are built by copying files between the directory
+// before a real pass and the one after it. The weak OCV1+OIV key at n=4
+// forms collision chains, so chain order is at stake, and an earlier pass
+// leaves an old snapshot for the interrupted one to fold.
+func TestRecoverAfterInterruptedCompaction(t *testing.T) {
+	ctx := context.Background()
+	const n = 4
+	o := Options{Config: core.Config{OCV1: true, OIV: true}}
+	before := t.TempDir()
+	s, w, err := Recover(before, n, o, wal.Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type identity struct {
+		key   uint64
+		index int
+	}
+	rng := rand.New(rand.NewSource(53))
+	fs := make([]*tt.TT, 300)
+	ids := make([]identity, len(fs))
+	chained := false
+	for i := range fs {
+		if i == len(fs)/2 {
+			if _, err := (&wal.Compactor{Dir: before, N: n, W: w}).Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fs[i] = tt.Random(n, rng)
+		key, index, _ := s.AddCtx(ctx, fs[i])
+		if index < 0 {
+			t.Fatalf("insert %d refused", i)
+		}
+		ids[i] = identity{key, index}
+		chained = chained || index > 0
+	}
+	if !chained {
+		t.Fatal("no collision chain formed: chain order goes unchecked")
+	}
+	classes := s.Size()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := wal.ListSegments(before)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("%d segments (%v), want several to fold", len(segs), err)
+	}
+
+	after := t.TempDir()
+	copyFiles(t, before, after)
+	if _, err := (&wal.Compactor{Dir: after, N: n}).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(filepath.Join(after, wal.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		file    string // where the new snapshot lands
+		deleted int    // folded segments already deleted, lowest first
+	}{
+		{"written aside", wal.SnapshotFile + ".tmp", 0},
+		{"renamed", wal.SnapshotFile, 0},
+		{"renamed, lower half deleted", wal.SnapshotFile, len(segs) / 2},
+	} {
+		dir := t.TempDir()
+		copyFiles(t, before, dir)
+		if err := os.WriteFile(filepath.Join(dir, tc.file), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs[:tc.deleted] {
+			if err := os.Remove(filepath.Join(dir, filepath.Base(seg.Path))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, w, err := Recover(dir, n, o, wal.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.Size() != classes {
+			t.Errorf("%s: recovered %d classes, want %d", tc.name, r.Size(), classes)
+		}
+		for i, f := range fs {
+			rep, key, index, tr, ok := r.LookupCtx(ctx, f)
+			if !ok || (identity{key, index}) != ids[i] || !tr.Apply(rep).Equal(f) {
+				t.Fatalf("%s: function %d (%s) recovered as (%016x,%d) hit=%v, logged as (%016x,%d)",
+					tc.name, i, f.Hex(), key, index, ok, ids[i].key, ids[i].index)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// copyFiles copies every regular file of dir src into dir dst.
+func copyFiles(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // failingJournal refuses every insert at log time.
 type failingJournal struct{ calls int }
 
@@ -245,6 +370,9 @@ func TestJournalFailureRefusesInsert(t *testing.T) {
 	}
 	if s.Size() != 0 {
 		t.Fatalf("store holds %d classes after refused insert", s.Size())
+	}
+	if chains, maxLen := s.ChainStats(); chains != 0 || maxLen != 0 {
+		t.Fatalf("refused insert left %d chains (longest %d) behind, want none", chains, maxLen)
 	}
 	if s.JournalErrors() != 1 || j.calls != 1 {
 		t.Fatalf("journal errors %d (calls %d), want 1", s.JournalErrors(), j.calls)

@@ -218,12 +218,6 @@ func New(n int, o Options) *Store {
 	return s
 }
 
-// NumVars returns the arity the store serves.
-func (s *Store) NumVars() int { return s.n }
-
-// NumShards returns the number of lock shards.
-func (s *Store) NumShards() int { return len(s.shards) }
-
 // Fingerprint returns the 64-bit hash of the store's MSV configuration —
 // the meta word stamped on WAL segments, which replay and replication
 // compare to decide whether a logged class key can be trusted.
@@ -456,11 +450,7 @@ func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, is
 		from = len(reps)
 		sh.mu.Lock()
 		c := sh.chains[key]
-		if c == nil {
-			c = &chain{}
-			sh.chains[key] = c
-		}
-		if len(c.reps) > from {
+		if c != nil && len(c.reps) > from {
 			reps, profs = c.reps, c.profs
 			sh.mu.Unlock()
 			continue
@@ -472,6 +462,12 @@ func (s *Store) AddCtx(ctx context.Context, f *tt.TT) (key uint64, index int, is
 				s.journalErrs.Add(1)
 				return key, -1, false
 			}
+		}
+		// The chain is created only with its first class, so a refused
+		// insert leaves no empty chain behind.
+		if c == nil {
+			c = &chain{}
+			sh.chains[key] = c
 		}
 		c.reps = append(c.reps, f.Clone())
 		index = len(c.reps) - 1
@@ -626,14 +622,6 @@ func (s *Store) Size() int {
 	return total
 }
 
-// Collisions returns the number of representatives beyond the first of
-// their key — classes a key-only store would have silently merged.
-func (s *Store) Collisions() int {
-	extra := 0
-	s.forEachChain(func(_ int, chain []*tt.TT) { extra += len(chain) - 1 })
-	return extra
-}
-
 // ShardSizes returns the per-shard class counts, for load-balance
 // introspection.
 func (s *Store) ShardSizes() []int {
@@ -643,9 +631,11 @@ func (s *Store) ShardSizes() []int {
 }
 
 // ChainStats reports the collision-chain shape: how many distinct keys
-// are stored and the longest chain behind any one key. A growing maximum
-// means lookups on that key certify more candidates per probe — the
-// signal /metrics exports as npn_store_chain_max_length.
+// are stored and the longest chain behind any one key. Every chain holds
+// at least one class, so Size minus chains counts the classes beyond the
+// first of their key. A growing maximum means lookups on that key
+// certify more candidates per probe — the signal /metrics exports as
+// npn_store_chain_max_length.
 func (s *Store) ChainStats() (chains, maxLen int) {
 	s.forEachChain(func(_ int, chain []*tt.TT) {
 		chains++

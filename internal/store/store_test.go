@@ -89,8 +89,8 @@ func TestCollisionChain(t *testing.T) {
 	if ia != 0 || ib != 1 {
 		t.Fatalf("chain indices (%d,%d), want (0,1)", ia, ib)
 	}
-	if s.Size() != 2 || s.Collisions() != 1 {
-		t.Fatalf("size=%d collisions=%d, want 2 and 1", s.Size(), s.Collisions())
+	if chains, maxLen := s.ChainStats(); s.Size() != 2 || chains != 1 || maxLen != 2 {
+		t.Fatalf("size=%d in %d chains (longest %d), want 2 classes in one chain", s.Size(), chains, maxLen)
 	}
 	for want, f := range []*tt.TT{a, b} {
 		rep, _, idx, w, ok := s.LookupCtx(ctx, f)
@@ -196,9 +196,9 @@ func TestConcurrentCollisionChain(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if s.Size() != 2 || s.Collisions() != 1 {
-			t.Fatalf("trial %d: size=%d collisions=%d, want exactly the 2 chained classes",
-				trial, s.Size(), s.Collisions())
+		if chains, _ := s.ChainStats(); s.Size() != 2 || chains != 1 {
+			t.Fatalf("trial %d: size=%d in %d chains, want exactly the 2 chained classes",
+				trial, s.Size(), chains)
 		}
 	}
 }
@@ -263,16 +263,16 @@ func TestShardSizes(t *testing.T) {
 	if total != s.Size() {
 		t.Fatalf("shard sizes sum %d != size %d", total, s.Size())
 	}
-	if got := s.NumShards(); got != 4 {
-		t.Fatalf("NumShards %d, want 4", got)
+	if got := len(s.ShardSizes()); got != 4 {
+		t.Fatalf("%d shards, want 4", got)
 	}
 }
 
 func TestShardRounding(t *testing.T) {
-	if got := New(3, Options{Shards: 5}).NumShards(); got != 8 {
+	if got := len(New(3, Options{Shards: 5}).ShardSizes()); got != 8 {
 		t.Fatalf("shards rounded to %d, want 8", got)
 	}
-	if got := New(3, Options{}).NumShards(); got != DefaultShards {
+	if got := len(New(3, Options{}).ShardSizes()); got != DefaultShards {
 		t.Fatalf("default shards %d, want %d", got, DefaultShards)
 	}
 }

@@ -53,18 +53,18 @@ func (o Options) segmentBytes() int64 {
 type Stats struct {
 	// Segments and SealedSegments count the directory's segment files; the
 	// difference (at most one) is the active segment.
-	Segments       int `json:"segments"`
-	SealedSegments int `json:"sealed_segments"`
+	Segments       int
+	SealedSegments int
 	// Bytes is the total size of all segment files.
-	Bytes int64 `json:"bytes"`
+	Bytes int64
 	// Records counts appends since this writer opened.
-	Records int64 `json:"records"`
+	Records int64
 	// Fsyncs and Rotations count syncs and segment rotations since open.
-	Fsyncs    int64 `json:"fsyncs"`
-	Rotations int64 `json:"rotations"`
+	Fsyncs    int64
+	Rotations int64
 	// FsyncLagMillis is the age of the oldest append not yet fsynced —
 	// the data currently at risk — or zero when the log is clean.
-	FsyncLagMillis float64 `json:"fsync_lag_ms"`
+	FsyncLagMillis float64
 }
 
 // Writer appends class-insert records to a segmented log. Appends are

@@ -43,7 +43,7 @@ func TestUnauthorizedDecodes(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		api.WriteError(w, api.Errf(api.CodeUnauthorized, "missing API key"))
+		api.WriteError(w, r, api.Errf(api.CodeUnauthorized, "missing API key"))
 	}))
 	t.Cleanup(srv.Close)
 
@@ -64,7 +64,7 @@ func TestRateLimitedRetryAfterHonored(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "0")
-			api.WriteError(w, api.Errf(api.CodeRateLimited, "slow down"))
+			api.WriteError(w, r, api.Errf(api.CodeRateLimited, "slow down"))
 			return
 		}
 		w.Write([]byte(`{"results":[]}`))
@@ -98,7 +98,7 @@ func TestRateLimitedWithoutRetryAfterSurfaces(t *testing.T) {
 			if header != "" {
 				w.Header().Set("Retry-After", header)
 			}
-			api.WriteError(w, api.Errf(api.CodeRateLimited, "slow down"))
+			api.WriteError(w, r, api.Errf(api.CodeRateLimited, "slow down"))
 		}))
 
 		c := client.New(srv.URL, client.WithRetries(3), client.WithBackoff(time.Millisecond))

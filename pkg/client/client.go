@@ -221,13 +221,6 @@ func (c *Client) Map(ctx context.Context, circuit io.Reader, p MapParams) (*api.
 	return &out, nil
 }
 
-// Stats fetches GET /v2/stats. The body shape depends on the server's
-// role (federated, follower), so it is returned raw for the caller to
-// decode into the matching stats type.
-func (c *Client) Stats(ctx context.Context) (json.RawMessage, error) {
-	return c.getRawJSON(ctx, "/v2/stats")
-}
-
 // Spec fetches the server's self-description from GET /v2/spec.
 func (c *Client) Spec(ctx context.Context) (*api.Spec, error) {
 	raw, err := c.getRawJSON(ctx, "/v2/spec")

@@ -147,16 +147,20 @@ func TestSingleArityRoundTrip(t *testing.T) {
 	if spec.Role != "federated" {
 		t.Fatalf("spec role %q", spec.Role)
 	}
-	raw, err := c.Stats(context.Background())
+	status, raw, err := c.Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st federation.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
+	var health struct {
+		MinVars int   `json:"min_vars"`
+		MaxVars int   `json:"max_vars"`
+		Active  []int `json:"active"`
+	}
+	if err := json.Unmarshal(raw, &health); err != nil {
 		t.Fatal(err)
 	}
-	if st.MinVars != 5 || st.MaxVars != 5 || len(st.PerArity) != 1 || st.PerArity[0].Classes == 0 {
-		t.Fatalf("stats %+v", st)
+	if status != http.StatusOK || health.MinVars != 5 || health.MaxVars != 5 || len(health.Active) != 1 || health.Active[0] != 5 {
+		t.Fatalf("healthz %d %s", status, raw)
 	}
 }
 

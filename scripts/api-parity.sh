@@ -3,8 +3,9 @@
 # /v2 request transports of a real npnserve process — the JSON envelope
 # and the binary frame, both answered in JSON — and diff the semantic
 # results, then assert the per-item error contract, the JSON 404/405
-# fallbacks and the content-type gate, that the removed /v2/*/stream
-# routes answer not_found, and smoke the /v2/map and /v2/spec endpoints.
+# fallbacks and the content-type gate, that the removed /v2/*/stream and
+# /v2/stats routes answer not_found, and smoke the /v2/map and /v2/spec
+# endpoints.
 #
 # Usage: scripts/api-parity.sh [path-to-npnserve-binary]
 # Requires: curl, jq.
@@ -85,8 +86,8 @@ ALLOW=$(curl -s -o /dev/null -D - "$BASE/v2/classify" | tr -d '\r' | awk -F': ' 
 UMT=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: text/csv' "$BASE/v2/classify" -d "$FNS")
 [ "$UMT" = "415" ] || { echo "api-parity: wrong content type returned $UMT, want 415"; exit 1; }
 
-# --- The /v2/*/stream routes are gone. --------------------------------
-for route in /v2/classify/stream /v2/insert/stream; do
+# --- The /v2/*/stream routes and /v2/stats are gone. ------------------
+for route in /v2/classify/stream /v2/insert/stream /v2/stats; do
   GONE=$(curl -s -w ' %{http_code}' -X POST -H 'Content-Type: application/json' "$BASE$route" -d "$FNS")
   [ "${GONE##* }" = "404" ] && echo "${GONE% *}" | jq -e '.error.code == "not_found"' >/dev/null \
     || { echo "api-parity: $route answered '$GONE', want 404 not_found"; exit 1; }
@@ -117,7 +118,7 @@ curl -sf -X POST -H 'Content-Type: application/json' "$BASE/v2/classify" -d "$WA
 
 # --- /v2/spec self-describes every headline route. --------------------
 SPEC=$(curl -sf "$BASE/v2/spec")
-for route in /v2/classify /v2/insert /v2/map /v2/compact /v2/stats /v2/spec /healthz; do
+for route in /v2/classify /v2/insert /v2/map /v2/compact /v2/spec /healthz; do
   echo "$SPEC" | jq -e --arg p "$route" '.routes | map(.pattern) | index($p) != null' >/dev/null \
     || { echo "api-parity: spec is missing $route"; exit 1; }
 done
@@ -133,4 +134,4 @@ while read -r method pattern; do
   fi
 done < <(echo "$SPEC" | jq -r '.routes[] | "\(.method) \(.pattern)"')
 
-echo "api-parity: OK (JSON/binary agree; per-item errors, fallbacks, removed stream routes, map and spec verified)"
+echo "api-parity: OK (JSON/binary agree; per-item errors, fallbacks, removed routes, map and spec verified)"
