@@ -186,7 +186,7 @@ func main() {
 	flag.StringVar(&cfg.arities, "arities", "4-10", "federated arity range, \"N\" or \"LO-HI\" inclusive")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&cfg.shards, "shards", store.DefaultShards, "per-arity store lock shards (rounded up to a power of two)")
-	flag.IntVar(&cfg.workers, "workers", 0, "per-arity batch worker pool width (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.workers, "workers", 0, "chunks per batch (0 = GOMAXPROCS), run by the request goroutine and GOMAXPROCS shared helpers")
 	flag.IntVar(&cfg.cache, "cache", service.DefaultCacheSize, "per-arity LRU result cache capacity (negative disables)")
 	flag.StringVar(&cfg.keyConfig, "config", "full", "MSV key configuration: only \"full\" (the paper's complete vector set)")
 	flag.Int64Var(&cfg.maxBody, "max-body", api.DefaultMaxBody, "byte bound on /v2/map circuit uploads (0 or negative = the default)")

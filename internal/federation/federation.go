@@ -2,10 +2,10 @@
 // registry of service.Service instances for n = MinVars..MaxVars, each
 // backed by its own sharded store and constructed lazily on the first
 // function of that arity. A mixed-arity batch is routed per function to
-// the right arity's worker pool — arity groups run concurrently, each
-// group fanned out by its own service — and results are scattered back
-// into input order, so one server handles every federated arity behind a
-// single API.
+// the right arity's service — the arity groups are the chunks of one
+// par.Chunks call, and each service splits its group the same way — and
+// results are scattered back into input order, so one server handles
+// every federated arity behind a single API.
 //
 // The federated HTTP surface in http.go reads each JSON function's arity
 // from its hex truth-table length (api.HexArity), which is why MinVars
@@ -243,7 +243,7 @@ func (r *Registry) StartAutoCompact(every time.Duration, onErr func(error)) (sto
 }
 
 // InflightBatches sums the batches currently executing across every
-// active arity's worker pool — the live depth the load shedder
+// active arity's service — the live depth the load shedder
 // (internal/auth) compares against its admission limit. A handful of
 // atomic loads, cheap enough for every request.
 func (r *Registry) InflightBatches() int64 {
@@ -291,9 +291,9 @@ func (r *Registry) InsertCtx(ctx context.Context, fs []*tt.TT) ([]service.Insert
 
 // route is the routing skeleton classify and insert share. It partitions
 // a mixed-arity batch by arity, constructing each needed service, and runs
-// op once per arity group under one federation.route span: a lone group
-// on the caller's goroutine, several concurrently (each group's service
-// fans its sub-batch across its own worker pool). Results are scattered
+// op once per arity group under one federation.route span, each group a
+// par.Chunks chunk: the last on the caller's goroutine, any other on an
+// idle shared helper or else on the caller too. Results are scattered
 // back into input order.
 func route[R any](ctx context.Context, r *Registry, fs []*tt.TT,
 	op func(*service.Service, context.Context, []*tt.TT) []R) ([]R, error) {

@@ -62,13 +62,13 @@ func registryFams() []obs.FuncFamily {
 		famSvcLookups:      {Name: "npn_service_lookups_total", Help: "Functions looked up, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcHits:         {Name: "npn_service_hits_total", Help: "Lookups whose class was stored, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcMisses:       {Name: "npn_service_misses_total", Help: "Lookups whose class was absent, by arity.", Kind: obs.KindCounter, Labels: arity},
-		famSvcCacheHits:    {Name: "npn_service_cache_hits_total", Help: "Lookups answered by the function->result LRU cache, by arity.", Kind: obs.KindCounter, Labels: arity},
+		famSvcCacheHits:    {Name: "npn_service_cache_hits_total", Help: "Lookups answered by the function->result LRU cache, every copy in a batch counted, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcInserts:      {Name: "npn_service_inserts_total", Help: "Functions submitted for insert, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcCreated:      {Name: "npn_service_classes_created_total", Help: "Inserts that founded a new class, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcCollisions:   {Name: "npn_service_insert_collisions_total", Help: "New classes landing on an occupied key (chained), by arity.", Kind: obs.KindCounter, Labels: arity},
-		famSvcDeduped:      {Name: "npn_service_deduped_keys_total", Help: "Batch members answered by a duplicate in their own batch, by arity.", Kind: obs.KindCounter, Labels: arity},
+		famSvcDeduped:      {Name: "npn_service_deduped_keys_total", Help: "Batch members answered by an earlier copy in their own batch; in a classify batch only copies of an LRU miss, by arity.", Kind: obs.KindCounter, Labels: arity},
 		famSvcBatches:      {Name: "npn_service_batches_total", Help: "Batches processed, by arity.", Kind: obs.KindCounter, Labels: arity},
-		famSvcInflight:     {Name: "npn_service_inflight_batches", Help: "Batches executing on the worker pool right now, by arity.", Kind: obs.KindGauge, Labels: arity},
+		famSvcInflight:     {Name: "npn_service_inflight_batches", Help: "Batches executing right now, by arity.", Kind: obs.KindGauge, Labels: arity},
 		famSvcCacheEntries: {Name: "npn_service_cache_entries", Help: "Entries in the function->result LRU cache, by arity.", Kind: obs.KindGauge, Labels: arity},
 		famStoreClasses:    {Name: "npn_store_classes", Help: "Classes stored, by arity.", Kind: obs.KindGauge, Labels: arity},
 		famStoreCollisions: {Name: "npn_store_collisions", Help: "Representatives beyond the first of their key, by arity.", Kind: obs.KindGauge, Labels: arity},

@@ -87,34 +87,129 @@ func TestChunksSingleChunkInline(t *testing.T) {
 	}
 }
 
-// TestChunksConcurrent: several chunks each get a goroutine of their own
-// and run at the same time — every chunk waits here until all have
-// started, which only returns if none waits for another to finish.
-func TestChunksConcurrent(t *testing.T) {
-	const k = 3
-	var started sync.WaitGroup
-	started.Add(k)
+// TestChunksLastChunkOnCaller: the last chunk always runs on the calling
+// goroutine, whether or not a helper takes the others.
+func TestChunksLastChunkOnCaller(t *testing.T) {
+	caller := goid()
+	for _, tc := range []struct{ n, workers int }{{2, 2}, {10, 4}, {64, 0}} {
+		var mu sync.Mutex
+		var last string
+		Chunks(tc.n, tc.workers, func(lo, hi int) {
+			if hi == tc.n {
+				mu.Lock()
+				last = goid()
+				mu.Unlock()
+			}
+		})
+		if last != caller {
+			t.Fatalf("Chunks(%d, %d): the last chunk ran on goroutine %s, caller is %s", tc.n, tc.workers, last, caller)
+		}
+	}
+}
+
+// TestChunksStartsNoGoroutine: once the helpers exist, a call starts no
+// goroutine — every chunk, on a helper or on the caller, sees the
+// goroutine count the caller saw before the call. Nothing else starts a
+// goroutine meanwhile, but one an earlier test left behind may still be
+// exiting; a count below the caller's shows that, and the call is
+// measured again.
+func TestChunksStartsNoGoroutine(t *testing.T) {
+	Chunks(2, 2, func(lo, hi int) {}) // start the helpers
+	for _, tc := range []struct{ n, workers int }{{2, 2}, {10, 4}, {64, 0}} {
+		for attempt := 1; ; attempt++ {
+			before := runtime.NumGoroutine()
+			var mu sync.Mutex
+			var seen []int
+			Chunks(tc.n, tc.workers, func(lo, hi int) {
+				g := runtime.NumGoroutine()
+				mu.Lock()
+				seen = append(seen, g)
+				mu.Unlock()
+			})
+			exited := false
+			for _, g := range seen {
+				if g > before {
+					t.Fatalf("Chunks(%d, %d): a chunk saw %d goroutines, %d before the call", tc.n, tc.workers, g, before)
+				}
+				exited = exited || g < before
+			}
+			if !exited {
+				break
+			}
+			if attempt == 10 {
+				t.Fatalf("Chunks(%d, %d): the goroutine count kept falling during the call", tc.n, tc.workers)
+			}
+		}
+	}
+}
+
+// TestChunksNestedWithHelpersBusy parks every helper on a chunk that
+// blocks, then calls Chunks, with Chunks inside its chunks, from another
+// goroutine: with no helper free the call must still complete, and
+// releasing the parked chunks must leave no goroutine behind.
+func TestChunksNestedWithHelpersBusy(t *testing.T) {
+	Chunks(2, 2, func(lo, hi int) {}) // start the helpers
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	parked := make(chan struct{})
+	var offers sync.WaitGroup
+	// Offer chunk 0 of a two-chunk call until a helper takes it; a chunk
+	// that runs on its caller returns at once, and the offer is repeated.
+	for p := 0; p < runtime.GOMAXPROCS(0); {
+		done := make(chan struct{})
+		offers.Add(1)
+		go func() {
+			defer offers.Done()
+			defer close(done)
+			caller := goid()
+			Chunks(2, 2, func(lo, hi int) {
+				if lo == 0 && goid() != caller {
+					parked <- struct{}{}
+					<-release
+				}
+			})
+		}()
+		select {
+		case <-parked:
+			p++
+		case <-done:
+		}
+	}
+
+	const n = 12
 	var mu sync.Mutex
-	ids := map[string]bool{}
-	var caller string
-	done := make(chan struct{})
+	seen := make([]int, n*n)
+	returned := make(chan struct{})
 	go func() {
-		defer close(done)
-		caller = goid()
-		Chunks(k, k, func(lo, hi int) {
-			mu.Lock()
-			ids[goid()] = true
-			mu.Unlock()
-			started.Done()
-			started.Wait()
+		defer close(returned)
+		Chunks(n, 4, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				Chunks(n, 3, func(lo2, hi2 int) {
+					mu.Lock()
+					defer mu.Unlock()
+					for j := lo2; j < hi2; j++ {
+						seen[i*n+j]++
+					}
+				})
+			}
 		})
 	}()
 	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Chunks did not run its chunks concurrently")
+	case <-returned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("nested Chunks did not return while every helper was busy")
 	}
-	if len(ids) != k || ids[caller] {
-		t.Fatalf("chunks ran on goroutines %v, want %d distinct ones besides the caller %s", ids, k, caller)
+	for k, c := range seen {
+		if c != 1 {
+			t.Fatalf("nested Chunks: index %d visited %d times", k, c)
+		}
+	}
+
+	close(release)
+	offers.Wait()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the parked chunks were released, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

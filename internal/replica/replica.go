@@ -230,9 +230,13 @@ func (f *Follower) Run(ctx context.Context) {
 }
 
 // syncAndLog runs one sync and logs only error transitions: the first
-// occurrence of a failure, and the recovery after one.
+// occurrence of a failure, and the recovery after one. A pass that Run's
+// own cancellation ended logs nothing.
 func (f *Follower) syncAndLog(ctx context.Context) {
 	err := f.SyncOnce(ctx)
+	if ctx.Err() != nil {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch {
@@ -253,7 +257,7 @@ func (f *Follower) syncAndLog(ctx context.Context) {
 func (f *Follower) SyncOnce(ctx context.Context) error {
 	var m federation.Manifest
 	if err := f.getJSON(ctx, "/v1/wal/segments", &m); err != nil {
-		f.noteSync(err)
+		f.noteSync(ctx, err)
 		return err
 	}
 	var firstErr error
@@ -268,13 +272,17 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 			firstErr = fmt.Errorf("arity %d: %w", am.Arity, err)
 		}
 	}
-	f.noteSync(firstErr)
+	f.noteSync(ctx, firstErr)
 	return firstErr
 }
 
-// noteSync records a sync outcome for staleness and stats. The error
-// text itself goes to the log (Run).
-func (f *Follower) noteSync(err error) {
+// noteSync records a sync outcome for staleness and stats. A pass that
+// ctx's cancellation ended records nothing: a follower shutting down has
+// not failed a sync. The error text itself goes to the log (Run).
+func (f *Follower) noteSync(ctx context.Context, err error) {
+	if ctx.Err() != nil {
+		return
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.syncs++

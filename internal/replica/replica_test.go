@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -552,8 +553,7 @@ func TestSyncErrorReachesLog(t *testing.T) {
 	go func() { defer close(done); fol.Run(ctx) }()
 
 	// Passes run one after another, so once a third has failed the first
-	// two have finished logging. Read the log before cancelling: the pass
-	// the cancel interrupts fails with a different error.
+	// two have finished logging.
 	deadline := time.Now().Add(10 * time.Second)
 	for fol.Stats().SyncErrors < 3 {
 		if time.Now().After(deadline) {
@@ -570,5 +570,53 @@ func TestSyncErrorReachesLog(t *testing.T) {
 	want := "replica: sync: GET /v1/wal/segments: 503 Service Unavailable"
 	if len(got) != 1 || got[0] != want {
 		t.Fatalf("log lines %q, want exactly [%q]", got, want)
+	}
+}
+
+// TestShutdownIsNoSyncError: cancelling Run while a pass waits on the
+// primary ends that pass, and the follower neither counts it as a sync
+// error nor logs it.
+func TestShutdownIsNoSyncError(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/wal/segments" {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+		}
+		http.Error(w, "not found", http.StatusNotFound)
+	}))
+	t.Cleanup(primary.Close)
+	reg, err := federation.New(4, 6, federation.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	fol := replica.New(reg, replica.Options{Primary: primary.URL, Interval: time.Millisecond, Mode: replica.ModeLocal,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); fol.Run(ctx) }()
+	<-entered
+	cancel()
+	<-done
+
+	if n := fol.Stats().SyncErrors; n != 0 {
+		t.Errorf("sync errors %d after a shutdown mid-pass, want 0", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range lines {
+		if strings.HasPrefix(l, "replica: sync:") {
+			t.Errorf("shutdown logged %q", l)
+		}
 	}
 }

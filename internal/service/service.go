@@ -1,26 +1,21 @@
 // Package service is the online classification pipeline on top of
-// internal/store: batch classify/insert requests fanned across a worker
-// pool, a bounded LRU cache of recent function → (class, witness) results,
-// and atomic counters (hits, misses, collisions, dedup) exposed as a
-// stats snapshot. The pipeline is transport-agnostic: internal/federation
-// serves one Service per arity over HTTP, and it is usable in-process.
+// internal/store: batch classify/insert requests, a bounded LRU cache of
+// recent function → (class, witness) results, and atomic counters (hits,
+// misses, collisions, dedup) exposed as a stats snapshot. The pipeline is
+// transport-agnostic: internal/federation serves one Service per arity
+// over HTTP, and it is usable in-process.
 //
-// Batches are split into contiguous chunks, one per worker, by
-// par.Chunks: signature hashing dominates and is embarrassingly parallel
-// because every store operation borrows a private engine pair. Results
-// keep the input order.
-//
-// Duplicate keys within one batch are grouped before the store is
-// touched: N copies of the same function cost one lookup or insert, and
-// the remaining copies are answered by scattering the first copy's
-// result. Real cut workloads are dominated by a few very frequent
-// functions, so the dedup often removes most of a batch's work; the
-// deduped count is reported in Stats.
+// A classify batch probes the LRU for every function on the calling
+// goroutine and answers the hits there. The rest — every function of an
+// insert — is deduped: N copies of a function cost one store operation,
+// and the later copies get the first copy's result. The unique functions
+// split into contiguous chunks by par.Chunks, since signature hashing
+// dominates and every store operation borrows a private engine pair.
+// Results keep the input order.
 package service
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +32,8 @@ const DefaultCacheSize = 4096
 
 // Options configures a Service.
 type Options struct {
-	// Workers is the worker-pool width for batch operations. Zero means
-	// GOMAXPROCS.
+	// Workers is the number of chunks a batch's store work splits into
+	// (par.Chunks). Zero means GOMAXPROCS.
 	Workers int
 	// CacheSize bounds the function→result LRU cache. Zero means
 	// DefaultCacheSize; negative disables caching.
@@ -54,12 +49,12 @@ type Options struct {
 // Service is a concurrency-safe batch classification pipeline.
 type Service struct {
 	st           *store.Store
-	workers      int
+	workers      int       // chunks per batch; <= 0 means GOMAXPROCS
 	cache        *lruCache // nil when disabled
 	observeBatch func(op string, size int, d time.Duration)
 
-	// inflight counts batches currently executing on the worker pool —
-	// the live depth admission control (internal/auth) sheds on.
+	// inflight counts batches currently executing — the live depth
+	// admission control (internal/auth) sheds on.
 	inflight atomic.Int64
 
 	// Atomic counters.
@@ -76,10 +71,6 @@ type Service struct {
 
 // New returns a service over st.
 func New(st *store.Store, o Options) *Service {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var cache *lruCache
 	switch {
 	case o.CacheSize == 0:
@@ -87,7 +78,7 @@ func New(st *store.Store, o Options) *Service {
 	case o.CacheSize > 0:
 		cache = newLRUCache(o.CacheSize)
 	}
-	return &Service{st: st, workers: workers, cache: cache, observeBatch: o.ObserveBatch}
+	return &Service{st: st, workers: o.Workers, cache: cache, observeBatch: o.ObserveBatch}
 }
 
 // Store returns the backing class store.
@@ -120,17 +111,19 @@ type InsertResult struct {
 	New bool
 }
 
-// ClassifyCtx looks up every function's class, fanning the batch across
-// the worker pool. Results keep input order. Misses are reported per
-// function (Hit=false); they do not modify the store.
+// ClassifyCtx looks up every function's class. Results keep input order.
+// Misses are reported per function (Hit=false); they do not modify the
+// store. LRU hits are answered on the calling goroutine before anything
+// fans out, so a batch the LRU answers whole builds no dedup map and
+// allocates nothing per function.
 //
 // ctx carries tracing: the batch runs under a service.batch span, the
-// wait between batch admission and the first worker touching work is a
-// service.queue span, and every unique function gets a service.certify
-// span recording its LRU outcome. With tracing off every span is nil and
-// the cost is a context lookup.
+// wait between the fan-out and its first chunk starting is a
+// service.queue span, and every LRU hit and every unique miss gets a
+// service.certify span recording its LRU outcome. With tracing off every
+// span is nil and the cost is a context lookup.
 func (s *Service) ClassifyCtx(ctx context.Context, fs []*tt.TT) []Result {
-	return runBatch(ctx, s, "classify", &s.lookups, fs, s.classifyOne, func(r Result) Result {
+	return runBatch(ctx, s, "classify", &s.lookups, fs, s.probe, s.classifyOne, func(r Result) Result {
 		// A later copy is one more hit or miss in the counters.
 		if r.Hit {
 			s.hits.Add(1)
@@ -141,11 +134,10 @@ func (s *Service) ClassifyCtx(ctx context.Context, fs []*tt.TT) []Result {
 	})
 }
 
-// InsertCtx adds every function's class if absent, fanning the batch
-// across the worker pool. Results keep input order; ctx carries tracing
-// as in ClassifyCtx.
+// InsertCtx adds every function's class if absent. Results keep input
+// order; ctx carries tracing as in ClassifyCtx.
 func (s *Service) InsertCtx(ctx context.Context, fs []*tt.TT) []InsertResult {
-	return runBatch(ctx, s, "insert", &s.inserts, fs, s.insertOne, func(r InsertResult) InsertResult {
+	return runBatch(ctx, s, "insert", &s.inserts, fs, nil, s.insertOne, func(r InsertResult) InsertResult {
 		// The first copy founded (or found) the class; later copies of the
 		// same function are by definition not new.
 		r.New = false
@@ -153,13 +145,14 @@ func (s *Service) InsertCtx(ctx context.Context, fs []*tt.TT) []InsertResult {
 	})
 }
 
-// runBatch is the batch skeleton classify and insert share. It runs one on
-// every unique function of fs across the worker pool and answers each
+// runBatch is the batch skeleton classify and insert share. probe, when
+// set, may answer a function on the calling goroutine. runBatch runs one
+// on every unique function left, across par.Chunks, and answers each
 // later copy of a function with copyOf(its first copy's result). It keeps
 // the inflight gauge, the service.batch and service.queue spans and the
 // batch counters; total is the operation's own counter of functions.
 func runBatch[R any](ctx context.Context, s *Service, op string, total *atomic.Int64, fs []*tt.TT,
-	one func(context.Context, *tt.TT) R, copyOf func(R) R) []R {
+	probe func(context.Context, *tt.TT, *R) bool, one func(context.Context, *tt.TT) R, copyOf func(R) R) []R {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	start := time.Now()
@@ -167,32 +160,37 @@ func runBatch[R any](ctx context.Context, s *Service, op string, total *atomic.I
 	batch.SetAttr("op", op)
 	batch.SetInt("size", int64(len(fs)))
 	out := make([]R, len(fs))
-	uniq, firstOf := dedupBatch(fs)
-	batch.SetInt("unique", int64(len(uniq)))
-	// The queue span opens before the fan-out and is closed by whichever
-	// worker goroutine runs first: its duration is the time the batch
-	// spent waiting for pool capacity rather than doing work.
-	_, queue := obs.StartSpan(ctx, "service.queue")
-	var queueOnce sync.Once
-	par.Chunks(len(uniq), s.workers, func(lo, hi int) {
-		if queue != nil {
-			queueOnce.Do(queue.End)
-		}
-		for _, j := range uniq[lo:hi] {
-			out[j] = one(ctx, fs[j])
-		}
-	})
-	if queue != nil {
-		queueOnce.Do(queue.End) // empty batch: nothing ever ran
-	}
-	if firstOf != nil {
-		for i, j := range firstOf {
-			if j != i {
-				out[i] = copyOf(out[j])
+	var left []int
+	for i, f := range fs {
+		if probe == nil || !probe(ctx, f, &out[i]) {
+			if left == nil {
+				left = make([]int, 0, len(fs)-i)
 			}
+			left = append(left, i)
 		}
-		s.deduped.Add(int64(len(fs) - len(uniq)))
 	}
+	uniq, firstOf := dedupBatch(fs, left)
+	batch.SetInt("unique", int64(len(uniq)))
+	if len(uniq) > 0 {
+		// The queue span is closed by whichever chunk starts first: its
+		// duration is the time the batch waited before its store work ran.
+		_, queue := obs.StartSpan(ctx, "service.queue")
+		var queueOnce sync.Once
+		par.Chunks(len(uniq), s.workers, func(lo, hi int) {
+			if queue != nil {
+				queueOnce.Do(queue.End)
+			}
+			for _, j := range uniq[lo:hi] {
+				out[j] = one(ctx, fs[j])
+			}
+		})
+	}
+	for p, j := range firstOf {
+		if i := left[p]; j != i {
+			out[i] = copyOf(out[j])
+		}
+	}
+	s.deduped.Add(int64(len(left) - len(uniq)))
 	total.Add(int64(len(fs)))
 	s.batches.Add(1)
 	if s.observeBatch != nil {
@@ -202,56 +200,57 @@ func runBatch[R any](ctx context.Context, s *Service, op string, total *atomic.I
 	return out
 }
 
-// dedupBatch groups duplicate functions within one batch. uniq lists the
-// indices of first occurrences, in input order; firstOf maps every index
-// to its function's first occurrence, or is nil when the batch has no
-// duplicates (the common case pays one map pass and no scatter).
-func dedupBatch(fs []*tt.TT) (uniq []int, firstOf []int) {
-	if len(fs) < 2 {
-		uniq = make([]int, len(fs))
-		for i := range uniq {
-			uniq[i] = i
-		}
-		return uniq, nil
+// dedupBatch groups duplicates among the functions fs[i], i in idx. uniq
+// lists the first occurrences, in input order; firstOf[p] is the index of
+// fs[idx[p]]'s first occurrence, or firstOf is nil (and uniq is idx) when
+// there are no duplicates.
+func dedupBatch(fs []*tt.TT, idx []int) (uniq []int, firstOf []int) {
+	if len(idx) < 2 {
+		return idx, nil
 	}
-	seen := make(map[string]int, len(fs))
-	firstOf = make([]int, len(fs))
-	uniq = make([]int, 0, len(fs))
-	for i, f := range fs {
-		k := cacheKey(f)
+	seen := make(map[string]int, len(idx))
+	firstOf = make([]int, len(idx))
+	uniq = make([]int, 0, len(idx))
+	for p, i := range idx {
+		k := cacheKey(fs[i])
 		if j, ok := seen[k]; ok {
-			firstOf[i] = j
+			firstOf[p] = j
 			continue
 		}
 		seen[k] = i
-		firstOf[i] = i
+		firstOf[p] = i
 		uniq = append(uniq, i)
 	}
-	if len(uniq) == len(fs) {
-		return uniq, nil
+	if len(uniq) == len(idx) {
+		return idx, nil
 	}
 	return uniq, firstOf
 }
 
-// classifyOne serves one lookup through the cache, under a
-// service.certify span recording whether the LRU answered.
+// probe answers f into *r if the LRU holds it, under a service.certify
+// span. The key lives in a stack buffer, so a hit allocates nothing.
+func (s *Service) probe(ctx context.Context, f *tt.TT, r *Result) bool {
+	if s.cache == nil {
+		return false
+	}
+	var kb [32]byte
+	hit, ok := s.cache.getBytes(appendCacheKey(kb[:0], f))
+	if !ok {
+		return false
+	}
+	*r = hit
+	s.cacheHits.Add(1)
+	s.hits.Add(1)
+	_, sp := obs.StartSpan(ctx, "service.certify")
+	sp.SetAttr("cache", "hit")
+	sp.End()
+	return true
+}
+
+// classifyOne serves one LRU miss from the store under a service.certify
+// span, and caches a hit.
 func (s *Service) classifyOne(ctx context.Context, f *tt.TT) Result {
 	ctx, sp := obs.StartSpan(ctx, "service.certify")
-	// The key lives in a stack buffer so a cache hit allocates nothing;
-	// only the miss path (which pays a store lookup anyway) materializes
-	// the string for put.
-	var kb [32]byte
-	var ck []byte
-	if s.cache != nil {
-		ck = appendCacheKey(kb[:0], f)
-		if r, ok := s.cache.getBytes(ck); ok {
-			s.cacheHits.Add(1)
-			s.hits.Add(1)
-			sp.SetAttr("cache", "hit")
-			sp.End()
-			return r
-		}
-	}
 	sp.SetAttr("cache", "miss")
 	rep, key, index, w, ok := s.st.LookupCtx(ctx, f)
 	sp.SetBool("hit", ok)
@@ -263,7 +262,7 @@ func (s *Service) classifyOne(ctx context.Context, f *tt.TT) Result {
 		// forever; misses are not cached because a later insert would
 		// invalidate them.
 		if s.cache != nil {
-			s.cache.put(string(ck), r)
+			s.cache.put(cacheKey(f), r)
 		}
 	} else {
 		s.misses.Add(1)

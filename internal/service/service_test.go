@@ -232,6 +232,55 @@ func TestStatsCounters(t *testing.T) {
 	if st.Batches != 1 {
 		t.Fatalf("batches=%d, want 1", st.Batches)
 	}
+
+	// Classify [a, a, b, b] with a cached and b stored but not cached: both
+	// copies of a are LRU hits, and only b's second copy is deduped.
+	ctx := context.Background()
+	svc.ClassifyCtx(ctx, []*tt.TT{a})
+	before := svc.Stats()
+	res := svc.ClassifyCtx(ctx, []*tt.TT{a, a, b, b})
+	st = svc.Stats()
+	if d := st.CacheHits - before.CacheHits; d != 2 {
+		t.Errorf("cache hits +%d, want +2", d)
+	}
+	if d := st.Deduped - before.Deduped; d != 1 {
+		t.Errorf("deduped +%d, want +1", d)
+	}
+	if d := st.Hits - before.Hits; d != 4 {
+		t.Errorf("hits +%d, want +4", d)
+	}
+	for i := 1; i < len(res); i += 2 {
+		if !res[i].Hit || res[i].Key != res[i-1].Key || res[i].Index != res[i-1].Index || res[i].Witness != res[i-1].Witness {
+			t.Errorf("copy %d answered %+v, its first copy %+v", i, res[i], res[i-1])
+		}
+	}
+}
+
+// TestClassifyHitAllocs: a batch the LRU answers whole allocates a few
+// objects per batch and none per function.
+func TestClassifyHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	n := 6
+	for _, size := range []int{16, 256} {
+		svc := newTestService(n, Options{})
+		fs := gen.UniformRandom(n, size, int64(700+size))
+		svc.InsertCtx(ctx, fs)
+		svc.ClassifyCtx(ctx, fs) // caches every function
+		allocs := testing.AllocsPerRun(100, func() {
+			for i, r := range svc.ClassifyCtx(ctx, fs) {
+				if !r.Hit {
+					t.Fatalf("size %d: function %d missed", size, i)
+				}
+			}
+		})
+		if st := svc.Stats(); st.Lookups-st.CacheHits != int64(size) {
+			t.Fatalf("size %d: %d lookups, %d LRU hits; the measured batches were not answered by the LRU alone", size, st.Lookups, st.CacheHits)
+		}
+		t.Logf("size %d: %.1f allocs per all-hit batch", size, allocs)
+		if allocs > 8 {
+			t.Errorf("size %d: an all-hit batch allocates %.1f objects, want at most 8", size, allocs)
+		}
+	}
 }
 
 // TestBatchDedup: duplicate keys within one batch must cost one store
